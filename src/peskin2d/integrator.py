@@ -158,6 +158,10 @@ def default_dt(law, a1, K):
 
 
 def _guard_blowup(old, new):
+    if not np.all(np.isfinite(new)):
+        raise StepRejected(
+            f"{int(np.count_nonzero(~np.isfinite(new)))} of {new.size} modes "
+            "are non-finite after the step")
     floor = max(float(np.abs(old).max()), 1e-16)
     if float(np.abs(new).max()) > BLOWUP_FACTOR * floor:
         raise StepRejected(

@@ -14,22 +14,44 @@ becomes
        e^{i(s+r)/2} (1 + i X~) / (2 sin((s-r)/2)) T(|g|),
 
 with no difference of nearly equal quantities left.  Outer points sit
-on the uniform grid s_j = 2 pi j / M, the inner integral runs over the
-half-step-offset grid r_p = (2p+1) pi / M, so the r = s singularity is
-never sampled and the midpoint rule is spectrally accurate; |1 + i X~|
-is exactly the chord-arc ratio and is monitored for free.
+on the uniform grid s_j = 2 pi j / M.  The inner integral runs over
+alpha = s - r on the half-step-offset grid alpha_q = (2q+1) pi / M, so
+r = s_j - alpha_q is the offset node r_p, p = (j - q - 1) mod M.  The
+r = s singularity is never sampled and the midpoint rule is spectrally
+accurate.
+
+In (s, alpha) every factor is a 1-D array.  With c_q = 1/(2 sin(alpha_q/2))
+and w_q = c_q e^{i alpha_q/2},
+
+    b = e^{is/2} (1 + i X~) = e^{is/2} + c_q i e^{-ir/2} (X(r) - X(s)),
+    Re[ e^{-i(s-r)} g^2 T / (1 + i X~)^2 ] = Re[ H conj(b)^2 ] / |b|^4 =: rho,
+    N(s_j) = (-i / 2M) e^{i s_j/2} sum_q rho b conj(w_q),
+
+where H = e^{ir} g^2 T(|g|).  No complex division is left: rho is
+Re[conj(H) b^2] over the real |b|^4, and |b| is exactly the chord-arc
+ratio, so it is monitored for free.
+
+X(r_p), H(r_p) and i e^{-ir/2} become rows of a zero-copy sliding
+window over a reversed, doubled 1-D array; e^{-ir/2} is taken at
+r = s_j - alpha_q itself, so it changes sign where that point wraps
+below 0.  The sum runs over tiles of TILE_ROWS outer points: the cached
+workspace is O(M), one call's temporaries are O(TILE_ROWS * M), and no
+M x M array is formed.  Row sums are numpy reductions in a fixed order,
+not BLAS calls, so the result does not depend on the BLAS thread count.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import split, wavenumbers
 from .errors import ConfigError, GeometryError
 from .tension import linear_coefficients, small_t
 
 CHORD_ARC_MIN = 0.1
+TILE_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -48,24 +70,20 @@ class NonlinearityEvaluation:
 
 @lru_cache(maxsize=4)
 def _workspace(M):
-    """Grid-only factors shared by every evaluation at this M.
+    """1-D grid factors shared by every evaluation at this M.
 
-    kernel_fwd = e^{-i(s+r)/2} / (2 sin((s-r)/2)) carries the difference
-    quotient; kernel_bwd is its conjugate-phase partner multiplying the
-    assembled integrand.
+    e^{i s_j/2} on the outer grid; c_q and conj(w_q) on alpha_q; and
+    i e^{-i r_p/2}, e^{i r_p} on the offset nodes (alpha_q and r_p are
+    the same numbers).
     """
     s = 2.0 * np.pi * np.arange(M) / M
-    r = (2.0 * np.arange(M) + 1.0) * np.pi / M
-    D = s[:, None] - r[None, :]
-    inv_two_sin = 1.0 / (2.0 * np.sin(D / 2.0))
-    exp_mid = np.exp(-1j * (s[:, None] + r[None, :]) / 2.0)
-    kernel_fwd = exp_mid * inv_two_sin
-    kernel_bwd = np.conj(exp_mid) * inv_two_sin
-    exp_neg_s = np.exp(-1j * s)
-    exp_pos_r = np.exp(1j * r)
-    for arr in (s, r, kernel_fwd, kernel_bwd, exp_neg_s, exp_pos_r):
+    offset = (2.0 * np.arange(M) + 1.0) * np.pi / M
+    c = 1.0 / (2.0 * np.sin(offset / 2.0))
+    arrays = (np.exp(0.5j * s), c, c * np.exp(-0.5j * offset),
+              1j * np.exp(-0.5j * offset), np.exp(1j * offset))
+    for arr in arrays:
         arr.flags.writeable = False
-    return s, r, kernel_fwd, kernel_bwd, exp_neg_s, exp_pos_r
+    return arrays
 
 
 def _values_on(modes, M, shift):
@@ -75,6 +93,32 @@ def _values_on(modes, M, shift):
     spec = np.zeros(M, dtype=complex)
     spec[k % M] += modes * np.exp(1j * k * shift)
     return np.fft.ifft(spec) * M
+
+
+def _alpha_rows(values, wrap_sign=1.0):
+    """Zero-copy M x M view of offset-node values at r = s_j - alpha_q.
+
+    Entry [j, q] is values[(j - q - 1) mod M], times wrap_sign where
+    j <= q (there s_j - alpha_q = r_p - 2 pi).  It is a sliding window
+    over the reversed, doubled array, read with its rows flipped.
+    """
+    M = values.size
+    doubled = np.concatenate((wrap_sign * values, values))[-2::-1].copy()
+    return sliding_window_view(doubled, M)[::-1]
+
+
+def _chord_tiles(xs, xr, M):
+    """Yield (rows, b, |b|^2) tile by tile, b = e^{is/2} (1 + i X~)."""
+    exp_half_s, c, _, i_exp_half_neg_r, _ = _workspace(M)
+    xr_rows = _alpha_rows(xr)
+    phase_rows = _alpha_rows(i_exp_half_neg_r, -1.0)
+    for start in range(0, M, TILE_ROWS):
+        rows = slice(start, min(start + TILE_ROWS, M))
+        b = xr_rows[rows] - xs[rows, None]
+        b *= phase_rows[rows]
+        b *= c
+        b += exp_half_s[rows, None]
+        yield rows, b, np.square(b.real) + np.square(b.imag)
 
 
 def eval_nonlinearity(curve, law, M):
@@ -88,36 +132,39 @@ def eval_nonlinearity(curve, law, M):
     K = curve.K
     if M % 2 != 0 or M < 2 * K + 2:
         raise ConfigError(f"quadrature size {M} invalid for K={K}")
-    s, r, kernel_fwd, kernel_bwd, exp_neg_s, exp_pos_r = _workspace(M)
+    exp_half_s, _, conj_w, _, exp_r = _workspace(M)
     k = wavenumbers(K)
 
     xs = _values_on(curve.modes, M, 0.0)
     xr = _values_on(curve.modes, M, np.pi / M)
     dxr = _values_on(1j * k * curve.modes, M, np.pi / M)
 
-    g = 1.0 - 1j * np.conj(exp_pos_r) * dxr
+    g = 1.0 - 1j * np.conj(exp_r) * dxr
     stretch = np.abs(g)
     law.check_domain(stretch)
-    t_vals = small_t(law, stretch)
+    conj_h_rows = _alpha_rows(np.conj(exp_r * g * g) * small_t(law, stretch))
 
-    # one_plus = 1 + i X~(s, r); |one_plus| is the chord-arc ratio
-    one_plus = kernel_fwd * (xr[None, :] - xs[:, None])
-    one_plus *= 1j
-    one_plus += 1.0
-    chord_arc2 = one_plus.real ** 2 + one_plus.imag ** 2
-    min2 = float(chord_arc2.min())
+    # the chord-arc minimum covers every tile: after a violation the
+    # scan goes on, but the integrand is skipped
+    min2 = np.inf
+    row_sums = np.empty(M, dtype=complex)
+    for rows, b, abs2 in _chord_tiles(xs, xr, M):
+        min2 = min(min2, float(abs2.min()))
+        if min2 <= CHORD_ARC_MIN ** 2:
+            continue
+        # rho = Re[H conj(b)^2] / |b|^4 = Re[conj(H) b^2] / |b|^4
+        b_sq = b * b
+        b_sq *= conj_h_rows[rows]
+        rho = b_sq.real
+        rho /= abs2 * abs2
+        b *= rho
+        b *= conj_w
+        row_sums[rows] = b.sum(axis=1)
     if min2 <= CHORD_ARC_MIN ** 2:
         raise GeometryError(
             f"chord-arc ratio {np.sqrt(min2):.4g} <= {CHORD_ARC_MIN}: "
             "curve too close to self-intersection")
-
-    # Re[e^{-i(s-r)} g^2 / one_plus^2], assembled with outer-product factors
-    core = exp_neg_s[:, None] * (exp_pos_r * g * g * t_vals)[None, :]
-    core /= one_plus * one_plus
-    integrand = np.real(core)
-    integrand = integrand * one_plus
-    integrand *= kernel_bwd
-    grid_values = (-1j / (2.0 * M)) * integrand.sum(axis=1)
+    grid_values = (-1j / (2.0 * M)) * exp_half_s * row_sums
 
     spec = np.fft.fft(grid_values) / M
     n_modes = spec[k % M]
@@ -128,11 +175,10 @@ def eval_nonlinearity(curve, law, M):
 def chord_arc_ratio(curve, M=None):
     """Minimum sampled chord-arc ratio |XX(r)-XX(s)| / |2 sin((s-r)/2)|."""
     M = M if M is not None else max(64, 4 * curve.K)
-    _, _, kernel_fwd, _, _, _ = _workspace(M)
     xs = _values_on(curve.modes, M, 0.0)
     xr = _values_on(curve.modes, M, np.pi / M)
-    x_tilde = kernel_fwd * (xr[None, :] - xs[:, None])
-    return float(np.abs(1.0 + 1j * x_tilde).min())
+    min2 = min(float(abs2.min()) for _, _, abs2 in _chord_tiles(xs, xr, M))
+    return float(np.sqrt(min2))
 
 
 def linear_mode_rhs(y_modes, coeffs, a1):

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +68,32 @@ class TestSimulate:
         d1 = open(os.path.join(out1, "diagnostics.csv"), "rb").read()
         d2 = open(os.path.join(out2, "diagnostics.csv"), "rb").read()
         assert d1 == d2
+
+    def test_outputs_independent_of_blas_threads(self, tmp_path):
+        # the same config in fresh interpreters with 1 and 2 BLAS/OpenMP
+        # threads must hash identically: no result may depend on a
+        # threaded reduction order
+        config = dict(SIM_CONFIG, K=32, M=128, dt=0.01, t_end=0.3,
+                      snapshot_every=0.1)
+        config["initial_data"] = {"kind": "random_decay", "exponent": 2.0,
+                                  "seed": 5, "amplitude": 1e-2}
+        cfg = write_config(tmp_path / "k32.json", config)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        hashes = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"threads{threads}")
+            env = dict(os.environ, PYTHONPATH=pythonpath,
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "peskin2d.cli", "simulate",
+                 "--config", cfg, "--out", out],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            hashes.append(json.load(open(os.path.join(out, "manifest.json")))["outputs"])
+        assert hashes[0] == hashes[1]
+        assert len(hashes[0]) > 3
 
     def test_manifest_hashes(self, tmp_path):
         code, out = simulate(tmp_path)

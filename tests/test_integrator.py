@@ -53,6 +53,16 @@ class TestStep:
         with pytest.raises(StepRejected):
             step(curve, law, 12.0, cfg)
 
+    def test_non_finite_mode_rejected(self, cubic_law):
+        # NaN compares False against every threshold, so only an explicit
+        # finiteness check stops it from flowing into the next step
+        curve = make_single_mode(8, 2, 1e-3)
+        modes = curve.modes.copy()
+        modes[8 + 3] = np.nan
+        cfg = config(cubic_law, curve, dt=0.05, t_end=1.0)
+        with pytest.raises(StepRejected, match="non-finite"):
+            step(FourierCurve(modes), cubic_law, 0.05, cfg)
+
 
 class TestRun:
     def test_zero_data_constant(self, cubic_law):

@@ -5,6 +5,7 @@ from peskin2d import (FourierCurve, GeometryError, TensionDomainError, cubic,
                       eval_linear_part, eval_nonlinearity, eval_residual,
                       hookean, linear_coefficients, linear_mode_rhs, split)
 from peskin2d.curve import wavenumbers
+from peskin2d.nonlin import chord_arc_ratio
 
 from conftest import random_y_modes
 
@@ -35,6 +36,49 @@ def eval_raw_form(curve, law, M):
     diff = Xr[None, :] - Xs[:, None]
     integrand = np.real(dXr[None, :] ** 2 / diff ** 2) * diff * T[None, :]
     return integrand.sum(axis=1) / (2.0 * M)
+
+
+def eval_long_double(curve, c, M):
+    """Regularized integrand of the nonlin module docstring, in np.clongdouble.
+
+    Test oracle only: dense M x M sums with no tiling, for the cubic law
+    tau(r) = r + c r^3, whose reduced tension T(r) = 1 + c r^2 is also
+    evaluated in long double.
+    """
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    k = wavenumbers(curve.K).astype(ld)
+    a = curve.modes.astype(np.clongdouble)
+    s = 2 * pi * np.arange(M).astype(ld) / M
+    r = (2 * np.arange(M).astype(ld) + 1) * pi / M
+    xs = np.exp(1j * np.outer(s, k)) @ a
+    xr = np.exp(1j * np.outer(r, k)) @ a
+    dxr = np.exp(1j * np.outer(r, k)) @ (1j * k * a)
+    g = 1 - 1j * np.exp(-1j * r) * dxr
+    stretch = np.abs(g)
+    S, R = s[:, None], r[None, :]
+    two_sin = 2 * np.sin((S - R) / 2)
+    one_plus = 1 + 1j * np.exp(-1j * (S + R) / 2) * (xr[None, :] - xs[:, None]) / two_sin
+    integrand = -1j * np.real(np.exp(-1j * (S - R)) * (g * g)[None, :] / one_plus ** 2) \
+        * np.exp(1j * (S + R) / 2) * one_plus / two_sin * (1 + c * stretch ** 2)[None, :]
+    return integrand.sum(axis=1) / (2 * M)
+
+
+def dense_chord_arc_ratio(curve, M):
+    """min |1 + i X~| over the full M x M (s, r) grid; test oracle only."""
+    s = 2 * np.pi * np.arange(M) / M
+    r = (2 * np.arange(M) + 1) * np.pi / M
+    k = wavenumbers(curve.K)
+    xs = np.exp(1j * np.outer(s, k)) @ curve.modes
+    xr = np.exp(1j * np.outer(r, k)) @ curve.modes
+    S, R = s[:, None], r[None, :]
+    x_tilde = np.exp(-1j * (S + R) / 2) * (xr[None, :] - xs[:, None]) \
+        / (2 * np.sin((S - R) / 2))
+    return float(np.abs(1 + 1j * x_tilde).min())
+
+
+def random_curve(K, seed):
+    return FourierCurve(random_y_modes(np.random.default_rng(seed), K, amp=1e-2))
 
 
 class TestSteadyStates:
@@ -178,6 +222,49 @@ class TestInvariants:
         reg = eval_nonlinearity(curve, cubic_law, M).grid_values
         raw = eval_raw_form(curve, cubic_law, M)
         assert np.abs(reg - raw).max() < 1e-7
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="long double is not an extended-precision type here")
+class TestAccuracy:
+    # max |N - N_ref| / max |N_ref| against the long-double oracle.  Each
+    # grid value cancels O(1) terms down to an O(amplitude) velocity, so
+    # the error sits far above 1e-16; the bounds are about 5x the error
+    # measured for the tiled (s, alpha) evaluation (6.4e-14, 8.7e-14,
+    # 2.2e-14, 8.2e-14, 4.0e-15).
+    @pytest.mark.parametrize("make, M, bound", [
+        pytest.param(lambda: random_curve(16, 1), 64, 3e-13, id="K16-M64"),
+        pytest.param(lambda: random_curve(32, 2), 128, 4e-13, id="K32-M128"),
+        pytest.param(lambda: random_curve(8, 3), 18, 1e-13, id="K8-M18"),
+        pytest.param(lambda: random_curve(16, 4), 100, 4e-13, id="K16-M100"),
+        pytest.param(lambda: curve_with(8, {2: 0.42, 3: 0.03j}), 64, 2e-14,
+                     id="near-chord-arc-limit"),
+    ])
+    def test_against_long_double(self, make, M, bound):
+        curve = make()
+        law = cubic(c=1.0, r_min=0.05, r_max=10.0)
+        ref = eval_long_double(curve, 1.0, M)
+        got = eval_nonlinearity(curve, law, M).grid_values
+        err = float(np.abs(got - ref).max() / np.abs(ref).max())
+        assert err <= bound, f"relative error {err:.3g}"
+
+
+class TestChordArc:
+    @pytest.mark.parametrize("K, M, assign", [
+        (8, 18, {2: 0.3}), (16, 64, {2: 0.42, 3: 0.03j}), (16, 100, {3: 0.2, -2: 0.1})])
+    def test_matches_dense_formula(self, K, M, assign):
+        curve = curve_with(K, assign)
+        assert abs(chord_arc_ratio(curve, M) - dense_chord_arc_ratio(curve, M)) <= 1e-14
+
+    def test_geometry_error_reports_minimum_over_all_tiles(self):
+        # the first tile of rows already violates the bound (min 0.028),
+        # but the reported ratio is the global minimum from the second
+        curve = curve_with(8, {2: 0.52, 3: 0.1j})
+        wide = cubic(r_min=0.02, r_max=20.0)
+        with pytest.raises(GeometryError) as exc:
+            eval_nonlinearity(curve, wide, 64)
+        assert f"chord-arc ratio {chord_arc_ratio(curve, 64):.4g} <=" in str(exc.value)
+        assert chord_arc_ratio(curve, 64) < 0.01
 
 
 class TestErrors:
