@@ -111,10 +111,13 @@ class _Propagators:
         self.e2 = math.exp(z2)
         self.p1_2 = float(np.real(_phi1_scalar(z2)))
         self.p2_2 = float(np.real(_phi2_scalar(z2)))
-        self.pairs = []
-        for m in range(3, K + 1):
-            sys = build_pair_system(m, coeffs, a1_ref)
-            self.pairs.append(propagator_matrices(sys, dt))
+        pairs = [propagator_matrices(build_pair_system(m, coeffs, a1_ref), dt)
+                 for m in range(3, K + 1)]
+        # (E, phi1, phi2) of every pair m = 3..K, stacked as (K-2, 2, 2)
+        # arrays: advance updates all pairs in one elementwise pass
+        self.pair_E, self.pair_P1, self.pair_P2 = (
+            np.array([p[i] for p in pairs], dtype=complex).reshape(-1, 2, 2)
+            for i in range(3))
         # negative modes 2-m for m = K+1, K+2 have their partner truncated away:
         # the pair collapses to the scalar diagonal entry of G
         self.tail = []
@@ -135,19 +138,28 @@ class _Propagators:
         # mode 2: scalar exponential
         new[K + 2] = self.e2 * modes[K + 2] + dt * (self.p1_2 * L[K + 2]
                                                     + self.p2_2 * corr[K + 2])
-        # pairs (a_m, conj(a_{2-m})), m = 3..K
-        for m, (E, P1, P2) in zip(range(3, K + 1), self.pairs):
-            u = np.array([modes[K + m], np.conj(modes[K + 2 - m])])
-            lu = np.array([L[K + m], np.conj(L[K + 2 - m])])
-            cu = np.array([corr[K + m], np.conj(corr[K + 2 - m])])
-            out = E @ u + dt * (P1 @ lu + P2 @ cu)
-            new[K + m] = out[0]
-            new[K + 2 - m] = np.conj(out[1])
+        # pairs (a_m, conj(a_{2-m})), m = 3..K, all at once
+        m = np.arange(3, K + 1)
+        hi, lo = K + m, K + 2 - m
+        out = _pair_apply(self.pair_E, modes, hi, lo) + dt * (
+            _pair_apply(self.pair_P1, L, hi, lo) + _pair_apply(self.pair_P2, corr, hi, lo))
+        new[hi] = out[:, 0]
+        new[lo] = np.conj(out[:, 1])
         # truncated tail: k = 2-m for m = K+1, K+2
         for m, (e, p1, p2) in zip((K + 1, K + 2), self.tail):
             idx = K + 2 - m
             new[idx] = e * modes[idx] + dt * (p1 * L[idx] + p2 * corr[idx])
         return new
+
+
+def _pair_apply(mats, v, hi, lo):
+    """Each 2x2 matrix in mats times its pair state (v[hi], conj(v[lo])).
+
+    A sum of two elementwise products per row, in a fixed order: no BLAS
+    call, so the result does not depend on the BLAS thread count.
+    """
+    u = np.stack((v[hi], np.conj(v[lo])), axis=1)
+    return (mats * u[:, None, :]).sum(axis=2)
 
 
 def default_dt(law, a1, K):

@@ -4,9 +4,10 @@ import pytest
 from peskin2d import (ConfigError, FourierCurve, InsufficientDecay,
                       StepRejected, cubic, hookean, make_random_decay,
                       make_single_mode, rescale_to_norm)
-from peskin2d.integrator import (RunConfig, Trajectory, default_dt, fit_decay,
-                                 run, step)
-from peskin2d.tension import TensionLaw
+from peskin2d.integrator import (RunConfig, Trajectory, _Propagators, default_dt,
+                                 fit_decay, run, step)
+from peskin2d.linear import build_pair_system, propagator_matrices
+from peskin2d.tension import TensionLaw, linear_coefficients
 
 from conftest import random_y_modes
 
@@ -62,6 +63,22 @@ class TestStep:
         cfg = config(cubic_law, curve, dt=0.05, t_end=1.0)
         with pytest.raises(StepRejected, match="non-finite"):
             step(FourierCurve(modes), cubic_law, 0.05, cfg)
+
+    def test_pair_update_matches_matrix_products(self, cubic_law, rng):
+        # every pair u = (a_m, conj(a_{2-m})) advances by E u + dt (P1 lu + P2 cu)
+        K, dt, a1 = 12, 0.01, 0.02 - 0.01j
+        props = _Propagators(linear_coefficients(cubic_law, a1), a1, dt, K)
+        modes, L, L_star = (rng.standard_normal(2 * K + 1)
+                            + 1j * rng.standard_normal(2 * K + 1) for _ in range(3))
+        new = props.advance(K, modes, L, L_star)
+        for m in range(3, K + 1):
+            E, P1, P2 = propagator_matrices(build_pair_system(m, props.coeffs, a1), dt)
+
+            def pair(v):
+                return np.array([v[K + m], np.conj(v[K + 2 - m])])
+            want = E @ pair(modes) + dt * (P1 @ pair(L) + P2 @ pair(L_star - L))
+            assert np.allclose([new[K + m], np.conj(new[K + 2 - m])], want,
+                               rtol=1e-14, atol=1e-14)
 
 
 class TestRun:
