@@ -12,7 +12,7 @@ dyadic norm diagnostics that quantify all of this.
 __version__ = "0.1.0"
 
 from .curve import (CurveSplit, FourierCurve, PhysicalGrid, analyze,
-                    derivative, eval_x, eval_y, from_json_dict, grid_to_csv,
+                    derivative, eval_y, from_json_dict, grid_to_csv,
                     reassemble, split, synthesize, to_json_dict, y_tilde)
 from .errors import (ConfigError, GeometryError, IllConditioned,
                      InsufficientDecay, PeskinError, StepRejected,
@@ -20,9 +20,9 @@ from .errors import (ConfigError, GeometryError, IllConditioned,
 from .initdata import (InitialDataSpec, make_corner, make_polygonal,
                        make_random_decay, make_single_mode, rescale_to_norm)
 from .integrator import RunConfig, Trajectory, default_dt, fit_decay, run, step
-from .kernels import (DyadicBump, PsiKernel, fit_kernel_bounds, ik_exact,
-                      jk_exact, l_kernel, l_tilde_kernel, phi_weight, psi_n,
-                      pv_quadrature_ik, pv_quadrature_jk)
+from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel,
+                      l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
+                      pv_quadrature_jk)
 from .linear import (Mode2System, ModePairSystem, build_pair_system,
                      mode2_system, phi1_pair, phi2_pair, propagate_pair,
                      spectrum_report)

@@ -79,9 +79,12 @@ def _write_manifest(out_dir, command, config, filenames):
         "config": config,
         "outputs": {name: _sha256(os.path.join(out_dir, name)) for name in filenames},
     }
-    path = os.path.join(out_dir, "manifest.json")
+    return _write_json(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def _write_json(path, obj):
     with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
 
@@ -141,9 +144,7 @@ def _cmd_simulate(args):
                [traj.a0_limit.real, traj.a0_limit.imag],
                "a1_limit": None if traj.a1_limit is None else
                [traj.a1_limit.real, traj.a1_limit.imag]}
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "summary.json"), summary)
     names.append("summary.json")
     _write_manifest(out, "simulate", config, names)
     return EXIT_OK
@@ -210,9 +211,7 @@ def _cmd_verify_kernels(args):
         "pass": passed,
     }
     out = _ensure_out(args.out)
-    with open(os.path.join(out, "kernel_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "kernel_report.json"), report)
     _write_manifest(out, "verify-kernels", config, ["kernel_report.json"])
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -255,9 +254,7 @@ def _cmd_fit_decay(args):
     report = {"rate": rate, "a0_limit": [a0.real, a0.imag],
               "a1_limit": [a1.real, a1.imag]}
     out = _ensure_out(args.out)
-    with open(os.path.join(out, "decay.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "decay.json"), report)
     _write_manifest(out, "fit-decay", {"traj": args.traj}, ["decay.json"])
     return EXIT_OK
 
@@ -271,9 +268,7 @@ def _cmd_verify_linearization(args):
         report = {"structural_condition": "failed",
                   "failures_at_r": [float(r) for r in bad[:16]],
                   "pass": False}
-        with open(os.path.join(out, "linearization_report.json"), "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(os.path.join(out, "linearization_report.json"), report)
         _write_manifest(out, "verify-linearization", config,
                         ["linearization_report.json"])
         return EXIT_CHECK_FAILED
@@ -303,9 +298,7 @@ def _cmd_verify_linearization(args):
     passed = max_rel <= 1e-6
     report = {"structural_condition": "ok", "max_relative_jacobian_error": max_rel,
               "threshold": 1e-6, "pass": passed}
-    with open(os.path.join(out, "linearization_report.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "linearization_report.json"), report)
     _write_manifest(out, "verify-linearization", config, ["linearization_report.json"])
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 

@@ -96,15 +96,24 @@ def _dft_direct(values, K):
     return np.exp(-2j * np.pi * np.outer(k, j) / M) @ values / M
 
 
+def fourier_samples(k, coeff, M):
+    """sum_k coeff_k e^{iks} on the M-point grid s_j = 2 pi j / M.
+
+    Scatters coeff into an M-point spectrum at k mod M and takes one
+    inverse FFT; every spectral synthesis in the package goes through here.
+    """
+    spec = np.zeros(M, dtype=complex)
+    spec[k % M] += coeff
+    return np.fft.ifft(spec) * M
+
+
 def _modes_to_grid(modes, M, phase_shift=0.0):
     """Evaluate sum a_k e^{ik(s_j + phase_shift)} on the M-point grid."""
     K = (modes.size - 1) // 2
     k = wavenumbers(K)
     coeff = modes * np.exp(1j * k * phase_shift) if phase_shift else modes
     if _is_pow2(M):
-        spec = np.zeros(M, dtype=complex)
-        spec[k % M] += coeff
-        return np.fft.ifft(spec) * M
+        return fourier_samples(k, coeff, M)
     s = 2.0 * np.pi * np.arange(M) / M
     return np.exp(1j * np.outer(s, k)) @ coeff
 
@@ -164,13 +173,6 @@ def reassemble(sp):
 def derivative(curve):
     """Coefficients of X': i k a_k.  The full curve derivative adds i e^{is}."""
     return 1j * wavenumbers(curve.K) * curve.modes
-
-
-def eval_x(curve, s):
-    """Pointwise X(s) = sum a_k e^{iks} (perturbation only)."""
-    s = np.asarray(s, dtype=float)
-    k = wavenumbers(curve.K)
-    return np.exp(1j * np.multiply.outer(s, k)) @ curve.modes
 
 
 def eval_y(curve, s, order=0):

@@ -15,8 +15,7 @@ import numpy as np
 from . import norms
 from .curve import FourierCurve, split, wavenumbers
 from .errors import ConfigError, GeometryError
-
-CHORD_ARC_MIN = 0.1
+from .nonlin import CHORD_ARC_MIN, chord_arc_ratio
 
 
 def tent_hat(j, width):
@@ -159,7 +158,6 @@ def rescale_to_norm(curve, norm_name, value):
 
 def _require_chord_arc(curve):
     """Reject curves whose sampled chord-arc ratio drops below the threshold."""
-    from .nonlin import chord_arc_ratio
     ratio = chord_arc_ratio(curve)
     if ratio <= CHORD_ARC_MIN:
         raise GeometryError(
@@ -195,20 +193,26 @@ class InitialDataSpec:
         if "amplitude" in p and isinstance(p["amplitude"], (list, tuple)):
             p["amplitude"] = complex(p["amplitude"][0], p["amplitude"][1])
         report = {}
-        if self.kind == "single_mode":
-            curve = make_single_mode(K, int(p["k"]), p.get("amplitude", 1e-3),
-                                     allow_steady=bool(p.get("allow_steady", False)))
-        elif self.kind == "random_decay":
-            curve = make_random_decay(K, p.get("exponent", 2.0),
-                                      p.get("seed", 0), p.get("amplitude", 1e-3))
-        elif self.kind == "corner":
-            curve, report = make_corner(K, p["positions"], p["strengths"],
-                                        p.get("amplitude", 1e-2),
-                                        width=p.get("width", 1.0))
-        elif self.kind == "polygonal":
-            curve, report = make_polygonal(K, int(p["vertices"]), p.get("amplitude", 1e-2))
-        else:
-            raise ConfigError(f"unknown initial data kind {self.kind!r}")
+        try:
+            if self.kind == "single_mode":
+                curve = make_single_mode(K, int(p["k"]), p.get("amplitude", 1e-3),
+                                         allow_steady=bool(p.get("allow_steady", False)))
+            elif self.kind == "random_decay":
+                curve = make_random_decay(K, p.get("exponent", 2.0),
+                                          p.get("seed", 0), p.get("amplitude", 1e-3))
+            elif self.kind == "corner":
+                curve, report = make_corner(K, p["positions"], p["strengths"],
+                                            p.get("amplitude", 1e-2),
+                                            width=p.get("width", 1.0))
+            elif self.kind == "polygonal":
+                curve, report = make_polygonal(K, int(p["vertices"]),
+                                               p.get("amplitude", 1e-2))
+            else:
+                raise ConfigError(f"unknown initial data kind {self.kind!r}")
+        except KeyError as e:
+            raise ConfigError(f"initial data {self.kind!r} needs the key {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid initial data {self.kind!r}: {e}") from e
         if self.target_norm is not None:
             curve = rescale_to_norm(curve, *self.target_norm)
         sp = split(curve)

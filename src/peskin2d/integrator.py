@@ -2,23 +2,27 @@
 
 Each step integrates the linear part of every mode exactly and treats
 only the quadratic-and-higher residual L with a second-order
-predictor-corrector:
+predictor-corrector.  All 2K+1 modes sit in one pair layout: pair
+m = 1..K+2 holds u_m = (a_m, conj(a_{2-m})) with the 2x2 matrix G of
+linear.pair_matrices, and
 
-    modes 0, 1:   no linear part; Heun's method on L,
-    mode 2:       scalar rate (A + b_tilde)/4, exact exponential factor,
-    pairs m >= 3: state u = (a_m, conj(a_{2-m})), exact e^{G dt},
-    tail modes:   partners of m > K are outside truncation, so the pair
-                  reduces to the scalar diagonal rate.
+    m = 1:          a_1 paired with itself, G = 0 (a1 is frozen),
+    m = 2:          (a_2, conj(a_0)); G keeps only the mode-2 rate
+                    -(A + b_tilde)/4, the a_0 row is zero,
+    3 <= m <= K:    the full coupled pair,
+    m = K+1, K+2:   a_m is truncated away (a zero pad slot); G keeps only
+                    the scalar rate of a_{2-m}.
 
-The update is u+ = E u + dt [phi1(G dt) L + phi2(G dt) (L* - L)], where
-L* is the residual re-evaluated at the predictor; with G = 0 this is
-exactly Heun.  Under the frozen-coefficient policy (default) the
-propagators are built once from a1(0) and the coefficient drift lives
-inside the residual; the refreshed policy rebuilds them from a1(t)
-every step.
+Every pair takes the same update u+ = E u + dt [phi1(G dt) L +
+phi2(G dt) (L* - L)], where L* is the residual re-evaluated at the
+predictor; with G = 0 (phi1 = 1, phi2 = 1/2) this is exactly Heun, and
+a diagonal G gives exactly the scalar exponential update.
+
+Under the frozen-coefficient policy (default) the propagators are built
+once from a1(0) and the coefficient drift lives inside the residual; the
+refreshed policy rebuilds them from a1(t) every step.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +30,7 @@ import numpy as np
 from .curve import FourierCurve, split
 from .errors import ConfigError, InsufficientDecay, StepRejected
 from .initdata import InitialDataSpec
-from .linear import (build_pair_system, mode2_system, propagator_matrices,
-                     _phi1_scalar, _phi2_scalar)
+from .linear import pair_matrices, propagator_tables
 from .nonlin import eval_nonlinearity, linear_mode_rhs
 from .norms import l2_norm, linf_norm, deriv_coeffs
 from .tension import linear_coefficients
@@ -53,8 +56,8 @@ class RunConfig:
     def __post_init__(self):
         if self.M is not None and self.M < 4 * self.K:
             raise ConfigError(f"M={self.M} must be >= 4K = {4 * self.K}")
-        if self.dt is not None and self.dt <= 0:
-            raise ConfigError("dt must be positive")
+        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
         if self.dt is not None and self.t_end < self.dt:
             raise ConfigError("t_end must be >= dt")
 
@@ -82,6 +85,8 @@ class RunConfig:
                 raw=dict(d))
         except KeyError as e:
             raise ConfigError(f"missing config key: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid config value: {e}") from e
 
 
 @dataclass
@@ -106,60 +111,38 @@ class _Propagators:
         self.dt = dt
         self.coeffs = coeffs
         self.a1_ref = a1_ref
-        self.rate2 = mode2_system(coeffs).rate
-        z2 = -self.rate2 * dt
-        self.e2 = math.exp(z2)
-        self.p1_2 = float(np.real(_phi1_scalar(z2)))
-        self.p2_2 = float(np.real(_phi2_scalar(z2)))
-        pairs = [propagator_matrices(build_pair_system(m, coeffs, a1_ref), dt)
-                 for m in range(3, K + 1)]
-        # (E, phi1, phi2) of every pair m = 3..K, stacked as (K-2, 2, 2)
-        # arrays: advance updates all pairs in one elementwise pass
-        self.pair_E, self.pair_P1, self.pair_P2 = (
-            np.array([p[i] for p in pairs], dtype=complex).reshape(-1, 2, 2)
-            for i in range(3))
-        # negative modes 2-m for m = K+1, K+2 have their partner truncated away:
-        # the pair collapses to the scalar diagonal entry of G
-        self.tail = []
-        for m in (K + 1, K + 2):
-            rate = ((2.0 * m - 2.0) * coeffs.A + (m - 2.0) * coeffs.b_tilde) / 8.0
-            z = -rate * dt
-            self.tail.append((math.exp(z), float(np.real(_phi1_scalar(z))),
-                              float(np.real(_phi2_scalar(z)))))
+        # pair m = 1..K+2 holds u_m = (a_m, conj(a_{2-m})); a_m for m > K is
+        # truncated away and reads and writes the zero pad slot 2K+1
+        m = np.arange(1, K + 3)
+        self.hi = np.where(m <= K, K + m, 2 * K + 1)
+        self.lo = K + 2 - m
+        # E, phi1, phi2 of every pair, stacked as one (3, K+2, 2, 2) array
+        self.tables = np.stack(propagator_tables(m, pair_matrices(m, coeffs, a1_ref, K), dt))
 
     def advance(self, K, modes, L, L_star=None):
         """One ETD update of all modes; L_star=None gives the predictor."""
-        new = np.array(modes)
-        corr = (L_star - L) if L_star is not None else np.zeros_like(L)
-        dt = self.dt
-        # modes 0 and 1: plain quadrature of the residual
-        for idx in (K + 0, K + 1):
-            new[idx] = modes[idx] + dt * (L[idx] + 0.5 * corr[idx])
-        # mode 2: scalar exponential
-        new[K + 2] = self.e2 * modes[K + 2] + dt * (self.p1_2 * L[K + 2]
-                                                    + self.p2_2 * corr[K + 2])
-        # pairs (a_m, conj(a_{2-m})), m = 3..K, all at once
-        m = np.arange(3, K + 1)
-        hi, lo = K + m, K + 2 - m
-        out = _pair_apply(self.pair_E, modes, hi, lo) + dt * (
-            _pair_apply(self.pair_P1, L, hi, lo) + _pair_apply(self.pair_P2, corr, hi, lo))
-        new[hi] = out[:, 0]
-        new[lo] = np.conj(out[:, 1])
-        # truncated tail: k = 2-m for m = K+1, K+2
-        for m, (e, p1, p2) in zip((K + 1, K + 2), self.tail):
-            idx = K + 2 - m
-            new[idx] = e * modes[idx] + dt * (p1 * L[idx] + p2 * corr[idx])
-        return new
+        v = np.zeros((3, 2 * K + 2), dtype=complex)  # modes, L, L* - L; then the pad
+        v[0, :-1] = modes
+        v[1, :-1] = L
+        if L_star is not None:
+            v[2, :-1] = L_star - L
+        e_u, p1_l, p2_c = _pair_apply(self.tables, v, self.hi, self.lo)
+        out = e_u + self.dt * (p1_l + p2_c)
+        new = np.empty(2 * K + 2, dtype=complex)
+        new[self.hi] = out[:, 0]
+        new[self.lo] = np.conj(out[:, 1])
+        return new[:-1]
 
 
 def _pair_apply(mats, v, hi, lo):
     """Each 2x2 matrix in mats times its pair state (v[hi], conj(v[lo])).
 
-    A sum of two elementwise products per row, in a fixed order: no BLAS
-    call, so the result does not depend on the BLAS thread count.
+    Works on stacks: mats (..., n, 2, 2) against v (..., N).  A sum of two
+    elementwise products per row, in a fixed order: no BLAS call, so the
+    result does not depend on the BLAS thread count.
     """
-    u = np.stack((v[hi], np.conj(v[lo])), axis=1)
-    return (mats * u[:, None, :]).sum(axis=2)
+    u = np.stack((v[..., hi], np.conj(v[..., lo])), axis=-1)
+    return (mats * u[..., None, :]).sum(axis=-1)
 
 
 def default_dt(law, a1, K):

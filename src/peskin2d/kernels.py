@@ -21,11 +21,11 @@ scale-explicit L^1 bounds that are checked numerically as fitted
 constants rather than proved.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .curve import fourier_samples
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -61,15 +61,6 @@ def phi_cumulative(n, k):
     """Low-pass sum of phi_0..phi_n: equals 1 on 1 <= |k| <= 2^n, kills k = 0."""
     k = np.asarray(k, dtype=float)
     return bump_low(k / 2.0 ** n) - bump_low(2.0 * k)
-
-
-@dataclass(frozen=True)
-class DyadicBump:
-    """Block-n frequency bump with weights phi(k) in [0, 1]."""
-    n: int
-
-    def phi(self, k):
-        return phi_weight(self.n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +137,6 @@ def psi_n(n, s, order=0):
     return complex(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PsiKernel:
-    """Callable wrapper around psi_n for one block."""
-    n: int
-
-    def __call__(self, s, order=0):
-        return psi_n(self.n, s, order)
-
-
 def psi_cumulative(n, s):
     """Low-pass kernel with hat = phi_cumulative(n+2, k), modes {0, 1} removed."""
     kmax = 2 ** (n + 3)
@@ -229,12 +211,8 @@ def l_tilde_kernel(n, s, alpha, min_form="clamped"):
 def _psi_grid(n, M):
     """psi_n and psi_n' sampled on the M-point grid via FFT."""
     k, w = _psi_support(n)
-    spec = np.zeros(M, dtype=complex)
-    spec[k % M] += w
-    vals = np.fft.ifft(spec) * M
-    spec_d = np.zeros(M, dtype=complex)
-    spec_d[k % M] += w * 1j * k
-    dvals = np.fft.ifft(spec_d) * M
+    vals = fourier_samples(k, w, M)
+    dvals = fourier_samples(k, w * 1j * k, M)
     vals.flags.writeable = False
     dvals.flags.writeable = False
     return vals, dvals
@@ -248,9 +226,7 @@ def psi_l1_norm(n, order=0, oversample=8):
     """Trapezoidal integral of |psi_n^{(order)}| over the torus."""
     M = _grid_size(n, oversample)
     k, w = _psi_support(n)
-    spec = np.zeros(M, dtype=complex)
-    spec[k % M] += w * (1j * k) ** order
-    vals = np.fft.ifft(spec) * M
+    vals = fourier_samples(k, w * (1j * k) ** order, M)
     return float(np.abs(vals).sum() * 2.0 * np.pi / M)
 
 
@@ -293,9 +269,7 @@ def l_tilde_dalpha_l1(n, alpha, oversample=8, h_rel=1e-5):
 def _shift_samples(vals, alpha, n, M):
     """Samples of psi_n(s - alpha) from the cached support (exact, not interpolated)."""
     k, w = _psi_support(n)
-    spec = np.zeros(M, dtype=complex)
-    spec[k % M] += w * np.exp(-1j * k * alpha)
-    return np.fft.ifft(spec) * M
+    return fourier_samples(k, w * np.exp(-1j * k * alpha), M)
 
 
 def dyadic_alphas(n_per_decade=1, lo=-10, hi=0):

@@ -13,6 +13,11 @@ real and positive whenever the tension law is monotone.  The matrix is
 not Hermitian for m >= 3 despite the real spectrum, so it is
 diagonalized by the closed-form 2x2 eigensolver and the eigenvector
 condition number is recorded.
+
+Everything here works on stacks of pairs at once: pair_matrices builds
+G for an array of m, and propagator_tables turns a stack of G into
+e^{G dt}, phi1(G dt) and phi2(G dt) with no loop over m and no BLAS
+call.  The single-pair functions are one-element views of the same code.
 """
 
 from dataclasses import dataclass
@@ -53,29 +58,65 @@ class ModePairSystem:
         return -8.0 * self.eigenvalues
 
 
-def _eig2(G):
-    """Closed-form eigen-decomposition of a 2x2 complex matrix.
+def pair_matrices(m, coeffs, a1, K):
+    """G of every pair m in an integer array, stacked as (len(m), 2, 2).
 
-    Returns (eigenvalues, eigenvector columns).  Exact for diagonal
-    input; otherwise uses the stable quadratic formula on the trace
-    and determinant.
+    The frozen modes a0, a1 and the modes beyond the truncation K carry
+    no linear part: every entry of G that touches one of them is zero.
+    So G = 0 for m = 1, only the mode-2 rate -(A + b_tilde)/4 is left for
+    m = 2, and only the scalar rate of a_{2-m} is left for m > K.
     """
-    a, b = G[0, 0], G[0, 1]
-    c, d = G[1, 0], G[1, 1]
-    if b == 0 and c == 0:
-        return np.array([a, d]), np.eye(2, dtype=complex)
-    tr = a + d
+    m = np.asarray(m, dtype=float)
+    a1 = complex(a1)
+    u = (1.0 + a1) ** 2 / abs(1.0 + a1)
+    A, B, Bt = coeffs.A, coeffs.B, coeffs.b_tilde
+    G = np.empty(m.shape + (2, 2), dtype=complex)
+    G[..., 0, 0] = (2.0 * m - 2.0) * A + m * Bt
+    G[..., 0, 1] = -(m - 2.0) * B * u
+    G[..., 1, 0] = -m * B * np.conj(u)
+    G[..., 1, 1] = (2.0 * m - 2.0) * A + (m - 2.0) * Bt
+    # which components of u_m = (a_m, conj(a_{2-m})) evolve
+    live = np.stack(((m >= 2) & (m <= K), m >= 3), axis=-1)
+    return np.where(live[..., :, None] & live[..., None, :], -0.125 * G, 0.0)
+
+
+def _eig2(G):
+    """Closed-form eigen-decomposition of a stack of 2x2 complex matrices.
+
+    Returns (eigenvalues (..., 2), eigenvector columns (..., 2, 2)).
+    Exact for diagonal input; otherwise uses the stable quadratic formula
+    on the trace and determinant, and of the two null-vector expressions
+    (b, lam - a) and (lam - d, c) keeps the larger one.
+    """
+    a, b = G[..., 0, 0], G[..., 0, 1]
+    c, d = G[..., 1, 0], G[..., 1, 1]
+    diag = (b == 0) & (c == 0)
     disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0j)
-    lam = np.array([(tr - disc) / 2.0, (tr + disc) / 2.0])
-    vecs = np.empty((2, 2), dtype=complex)
-    for i, l in enumerate(lam):
-        # pick the better-conditioned null-vector expression
-        v1 = np.array([b, l - a])
-        v2 = np.array([l - d, c])
-        v = v1 if np.abs(v1).max() >= np.abs(v2).max() else v2
-        nrm = np.linalg.norm(v)
-        vecs[:, i] = v / nrm if nrm > 0 else np.array([1.0, 0.0])
+    lam = np.stack(((a + d - disc) / 2.0, (a + d + disc) / 2.0), axis=-1)
+    lam[diag] = np.stack((a, d), axis=-1)[diag]
+    v1 = np.stack((np.broadcast_to(b[..., None], lam.shape), lam - a[..., None]), axis=-2)
+    v2 = np.stack((lam - d[..., None], np.broadcast_to(c[..., None], lam.shape)), axis=-2)
+    v = np.where((np.abs(v1).max(axis=-2) >= np.abs(v2).max(axis=-2))[..., None, :], v1, v2)
+    nrm = np.sqrt(np.square(v.real).sum(axis=-2) + np.square(v.imag).sum(axis=-2))
+    nrm[diag] = 1.0
+    vecs = v / nrm[..., None, :]
+    vecs[diag] = np.eye(2)
     return lam, vecs
+
+
+def _det2(V):
+    return V[..., 0, 0] * V[..., 1, 1] - V[..., 0, 1] * V[..., 1, 0]
+
+
+def _cond2(V):
+    """2-norm condition number of a stack of 2x2 matrices, in closed form.
+
+    sigma_max^2 + sigma_min^2 = |V|_F^2 and sigma_max sigma_min = |det V|.
+    """
+    f = np.square(np.abs(V)).sum(axis=(-2, -1))
+    det = np.abs(_det2(V))
+    with np.errstate(divide="ignore"):
+        return (f + np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))) / (2.0 * det)
 
 
 def mode2_system(coeffs):
@@ -86,19 +127,11 @@ def build_pair_system(m, coeffs, a1):
     """Assemble the pair matrix for mode m >= 3 and diagonalize it."""
     if m < 3:
         raise ValueError("pair systems exist for m >= 3 only")
-    a1 = complex(a1)
-    r1 = abs(1.0 + a1)
-    u = (1.0 + a1) ** 2 / r1
-    A, B, Bt = coeffs.A, coeffs.B, coeffs.b_tilde
-    G = -0.125 * np.array([
-        [(2.0 * m - 2.0) * A + m * Bt, -(m - 2.0) * B * u],
-        [-m * B * np.conj(u), (2.0 * m - 2.0) * A + (m - 2.0) * Bt],
-    ], dtype=complex)
+    G = pair_matrices([m], coeffs, a1, K=m)
     lam, vecs = _eig2(G)
-    cond = float(np.linalg.cond(vecs))
     return ModePairSystem(
-        m=m, G=G, eigenvalues=lam, eigenvectors=vecs,
-        spectral_abscissa=float(np.max(lam.real)), eigen_cond=cond)
+        m=m, G=G[0], eigenvalues=lam[0], eigenvectors=vecs[0],
+        spectral_abscissa=float(np.max(lam[0].real)), eigen_cond=float(_cond2(vecs)[0]))
 
 
 def _phi1_scalar(z):
@@ -125,46 +158,59 @@ def _phi2_scalar(z):
     return np.where(small, series, main)
 
 
-def _apply_function(sys, dt, fn):
-    if sys.eigen_cond > _COND_LIMIT:
+def _matrix_functions(m, lam, V, cond, dt):
+    """(e^{G dt}, phi1(G dt), phi2(G dt)) of a stack G = V diag(lam) V^-1.
+
+    Each is V f(lam dt) V^-1 with the closed-form 2x2 inverse, summed as
+    elementwise products: no BLAS call, no loop over the stack.  Diagonal
+    G (V = I) gives exactly the scalar functions on the diagonal.
+    """
+    bad = np.flatnonzero(cond > _COND_LIMIT)
+    if bad.size:
+        i = bad[0]
         raise IllConditioned(
-            f"pair m={sys.m}: eigenvector condition {sys.eigen_cond:.3g} exceeds {_COND_LIMIT:.0e}")
-    V = sys.eigenvectors
-    diag = fn(sys.eigenvalues * dt)
-    return V @ np.diag(diag) @ np.linalg.inv(V)
+            f"pair m={int(m[i])}: eigenvector condition {cond[i]:.3g} exceeds {_COND_LIMIT:.0e}")
+    Vinv = np.stack((np.stack((V[..., 1, 1], -V[..., 0, 1]), axis=-1),
+                     np.stack((-V[..., 1, 0], V[..., 0, 0]), axis=-1)), axis=-2)
+    Vinv = Vinv / _det2(V)[..., None, None]
+    z = lam * dt
+    return tuple(((V * f(z)[..., None, :])[..., None] * Vinv[..., None, :, :]).sum(axis=-2)
+                 for f in (np.exp, _phi1_scalar, _phi2_scalar))
+
+
+def propagator_tables(m, G, dt):
+    """(e^{G dt}, phi1(G dt), phi2(G dt)) for a (n, 2, 2) stack of pair matrices.
+
+    m labels the stack; IllConditioned names the first m whose
+    eigenvector condition number exceeds the limit.
+    """
+    lam, V = _eig2(np.asarray(G, dtype=complex))
+    return _matrix_functions(m, lam, V, _cond2(V), dt)
+
+
+def propagator_matrices(sys, dt):
+    """(e^{G dt}, phi1(G dt), phi2(G dt)) in one diagonalization pass."""
+    tables = _matrix_functions([sys.m], sys.eigenvalues[None], sys.eigenvectors[None],
+                               np.array([sys.eigen_cond]), dt)
+    return tuple(t[0] for t in tables)
 
 
 def propagate_pair(sys, state, dt):
     """Apply the exact propagator e^{G dt} to the pair state."""
     if dt < 0:
         raise ValueError("dt must be nonnegative")
-    E = _apply_function(sys, dt, np.exp)
-    out = E @ np.asarray(state, dtype=complex)
+    out = propagator_matrices(sys, dt)[0] @ np.asarray(state, dtype=complex)
     return (complex(out[0]), complex(out[1]))
 
 
 def phi1_pair(sys, dt):
     """Matrix phi1(G dt) = (e^{G dt} - I)(G dt)^{-1}, series-safe near zero."""
-    return _apply_function(sys, dt, _phi1_scalar)
+    return propagator_matrices(sys, dt)[1]
 
 
 def phi2_pair(sys, dt):
     """Matrix phi2(G dt) = (e^{G dt} - I - G dt)(G dt)^{-2}, series-safe near zero."""
-    return _apply_function(sys, dt, _phi2_scalar)
-
-
-def propagator_matrices(sys, dt):
-    """(e^{G dt}, phi1(G dt), phi2(G dt)) in one diagonalization pass."""
-    if sys.eigen_cond > _COND_LIMIT:
-        raise IllConditioned(
-            f"pair m={sys.m}: eigenvector condition {sys.eigen_cond:.3g} exceeds {_COND_LIMIT:.0e}")
-    V = sys.eigenvectors
-    Vinv = np.linalg.inv(V)
-    z = sys.eigenvalues * dt
-    E = V @ np.diag(np.exp(z)) @ Vinv
-    P1 = V @ np.diag(_phi1_scalar(z)) @ Vinv
-    P2 = V @ np.diag(_phi2_scalar(z)) @ Vinv
-    return E, P1, P2
+    return propagator_matrices(sys, dt)[2]
 
 
 def pair_rate(sys):
@@ -180,15 +226,8 @@ def spectrum_report(law, a1, m_max):
     """
     if m_max < 3:
         raise ValueError("m_max must be >= 3")
-    coeffs = linear_coefficients(law, a1)
-    rows = []
-    for m in range(3, m_max + 1):
-        sys = build_pair_system(m, coeffs, a1)
-        lams = np.sort(sys.minus8_eigenvalues.real)
-        rows.append({
-            "m": m,
-            "lambda1": float(lams[0]),
-            "lambda2": float(lams[1]),
-            "decay_rate": float(lams[0] / 8.0),
-        })
-    return rows
+    m = np.arange(3, m_max + 1)
+    lam, _ = _eig2(pair_matrices(m, linear_coefficients(law, a1), a1, K=m_max))
+    lams = np.sort((-8.0 * lam).real, axis=-1)
+    return [{"m": int(mm), "lambda1": float(l1), "lambda2": float(l2),
+             "decay_rate": float(l1 / 8.0)} for mm, (l1, l2) in zip(m, lams)]

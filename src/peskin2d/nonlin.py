@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curve import split, wavenumbers
+from .curve import fourier_samples, split, wavenumbers
 from .errors import ConfigError, GeometryError
 from .tension import linear_coefficients, small_t
 
@@ -88,11 +88,8 @@ def _workspace(M):
 
 def _values_on(modes, M, shift):
     """sum a_k e^{ik(s + shift)} on the M grid via padded FFT."""
-    K = (modes.size - 1) // 2
-    k = wavenumbers(K)
-    spec = np.zeros(M, dtype=complex)
-    spec[k % M] += modes * np.exp(1j * k * shift)
-    return np.fft.ifft(spec) * M
+    k = wavenumbers((modes.size - 1) // 2)
+    return fourier_samples(k, modes * np.exp(1j * k * shift), M)
 
 
 def _alpha_rows(values, wrap_sign=1.0):

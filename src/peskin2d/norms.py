@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curve import fourier_samples
 from .errors import ConfigError
 from .kernels import phi_weight
 
@@ -89,10 +90,7 @@ def linf_norm(c, oversample=8):
     c = _as_coeffs(c)
     K = (c.size - 1) // 2
     M = max(64, int(oversample) * max(2 * K, 1))
-    k = _kvals(c)
-    spec = np.zeros(M, dtype=complex)
-    spec[k % M] += c
-    return float(np.abs(np.fft.ifft(spec) * M).max())
+    return float(np.abs(fourier_samples(_kvals(c), c, M)).max())
 
 
 def deriv_coeffs(c):

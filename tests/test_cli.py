@@ -94,6 +94,20 @@ class TestSimulate:
         code, _ = simulate(tmp_path, config)
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("override", [
+        {"K": "abc"},
+        {"M": "64"},
+        {"law": {"law": "cubic", "c": "x"}},
+        {"initial_data": {"kind": "corner", "strengths": [1.0]}},
+        {"initial_data": {"kind": "single_mode", "k": "x"}},
+        {"dt": float("nan")},
+    ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
+            "mode-not-int", "dt-nan"])
+    def test_bad_config_value_exit_code(self, tmp_path, override):
+        # a bad value is a config error (exit 2), never an uncaught exception
+        code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
+        assert code == EXIT_CONFIG
+
     def test_deterministic_outputs(self, tmp_path):
         config = dict(SIM_CONFIG)
         config["initial_data"] = {"kind": "random_decay", "exponent": 2.0,

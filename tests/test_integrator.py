@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
-from peskin2d import (ConfigError, FourierCurve, InsufficientDecay,
-                      StepRejected, cubic, hookean, make_random_decay,
-                      make_single_mode, rescale_to_norm)
+from peskin2d import (ConfigError, FourierCurve, IllConditioned,
+                      InsufficientDecay, StepRejected, cubic, hookean,
+                      make_random_decay, make_single_mode, rescale_to_norm)
 from peskin2d.integrator import (RunConfig, Trajectory, _Propagators, default_dt,
                                  fit_decay, run, step)
-from peskin2d.linear import build_pair_system, propagator_matrices
+from peskin2d.linear import (_phi1_scalar, _phi2_scalar, build_pair_system,
+                             propagator_matrices, propagator_tables)
 from peskin2d.tension import TensionLaw, linear_coefficients
 
 from conftest import random_y_modes
@@ -79,6 +82,40 @@ class TestStep:
             want = E @ pair(modes) + dt * (P1 @ pair(L) + P2 @ pair(L_star - L))
             assert np.allclose([new[K + m], np.conj(new[K + 2 - m])], want,
                                rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("K", [8, 64])
+    def test_frozen_and_scalar_modes_exact(self, cubic_law, rng, K):
+        # modes 0 and 1 take exactly Heun; mode 2 and the truncated-partner
+        # modes 1-K, -K take exactly the scalar ETD update, bit for bit
+        dt, a1 = 0.01, 0.02 - 0.01j
+        co = linear_coefficients(cubic_law, a1)
+        props = _Propagators(co, a1, dt, K)
+        modes, L, L_star = (rng.standard_normal(2 * K + 1)
+                            + 1j * rng.standard_normal(2 * K + 1) for _ in range(3))
+        for Ls in (None, L_star):
+            new = props.advance(K, modes, L, Ls)
+            corr = np.zeros_like(L) if Ls is None else Ls - L
+            for k in (0, 1):
+                assert new[K + k] == modes[K + k] + dt * (L[K + k] + 0.5 * corr[K + k])
+            rates = {2: (co.A + co.b_tilde) / 4.0}
+            for m in (K + 1, K + 2):
+                rates[2 - m] = ((2.0 * m - 2.0) * co.A + (m - 2.0) * co.b_tilde) / 8.0
+            for k, rate in rates.items():
+                z = -rate * dt
+                e = math.exp(z)
+                p1, p2 = (float(np.real(f(z))) for f in (_phi1_scalar, _phi2_scalar))
+                want = e * modes[K + k] + dt * (p1 * L[K + k] + p2 * corr[K + k])
+                assert new[K + k] == want, k
+
+    def test_batched_build_names_ill_conditioned_pair(self):
+        # one near-defective G in the stack: its two eigenvectors are
+        # nearly parallel, so the condition number is ~1e10
+        G = np.array([-np.eye(2), [[-1.0, 1.0], [0.0, -1.0 - 1e-10]], -2.0 * np.eye(2)])
+        with pytest.raises(IllConditioned, match="pair m=7:"):
+            propagator_tables(np.array([6, 7, 8]), G, 0.1)
+        E, P1, P2 = propagator_tables(np.array([6, 8]), G[[0, 2]], 0.1)
+        assert np.allclose(E, [np.exp(-0.1) * np.eye(2), np.exp(-0.2) * np.eye(2)],
+                           rtol=1e-15, atol=0)
 
 
 class TestRun:
