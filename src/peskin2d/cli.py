@@ -35,7 +35,7 @@ from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
                       l_kernel, psi_l1_norm, pv_quadrature_ik, pv_quadrature_jk,
                       phi_weight)
 from .nonlin import eval_nonlinearity, linear_mode_rhs
-from .norms import s_norm, wiener_snapshot, z1_weight, z2_weight
+from .norms import norm_report
 from .linear import spectrum_report
 from .tension import law_from_config, linear_coefficients
 
@@ -119,7 +119,10 @@ def _cmd_simulate(args):
     if args.snapshot_every is not None:
         config["snapshot_every"] = args.snapshot_every
     if args.watch_modes is not None:
-        config["watch_modes"] = [int(x) for x in args.watch_modes.split(",")]
+        try:
+            config["watch_modes"] = [int(x) for x in args.watch_modes.split(",")]
+        except ValueError as e:
+            raise ConfigError(f"--watch-modes is not a comma-separated integer list: {e}") from e
     if args.threads is not None:
         config["threads"] = args.threads
     cfg = RunConfig.from_dict(config)
@@ -216,18 +219,36 @@ def _cmd_verify_kernels(args):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
+# diagnostics.csv columns that fit-decay reads
+_TABLE_COLUMNS = ("t", "l2_Y", "a0_re", "a0_im", "a1_re", "a1_im")
+
+
 def _load_trajectory(traj_dir):
+    table_path = os.path.join(traj_dir, "diagnostics.csv")
     try:
-        with open(os.path.join(traj_dir, "diagnostics.csv")) as fh:
-            rows = list(csv.DictReader(fh))
+        with open(table_path) as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
     except OSError as e:
         raise ConfigError(f"cannot read trajectory {traj_dir}: {e}") from e
-    table = [{k: float(v) for k, v in row.items()} for row in rows]
+    missing = [key for key in _TABLE_COLUMNS if key not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"malformed trajectory table {table_path}: missing {missing}")
+    try:
+        table = [{k: float(v) for k, v in row.items()} for row in rows]
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"malformed trajectory table {table_path}: "
+                          f"{type(e).__name__}: {e}") from e
     snaps = []
     for name in sorted(os.listdir(traj_dir)):
         if name.startswith("snapshot_") and name.endswith(".json"):
-            with open(os.path.join(traj_dir, name)) as fh:
-                snaps.append(from_json_dict(json.load(fh)))
+            path = os.path.join(traj_dir, name)
+            try:
+                with open(path) as fh:
+                    snaps.append(from_json_dict(json.load(fh)))
+            except (OSError, KeyError, TypeError, ValueError) as e:
+                raise ConfigError(f"malformed snapshot {path}: "
+                                  f"{type(e).__name__}: {e}") from e
     return Trajectory(snapshots=snaps, table=table, watch_modes=())
 
 
@@ -239,8 +260,8 @@ def _cmd_measure_norms(args):
     for snap in traj.snapshots:
         y = split(snap).y_modes
         t = float(snap.time)
-        rows.append([t, s_norm(y), z1_weight(y, t), z2_weight(y, t),
-                     wiener_snapshot(y, t)])
+        r = norm_report(y, t)
+        rows.append([t, r.s_norm, r.z1_snapshot, r.z2_snapshot, r.w_snapshot])
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "norms.csv"),
                ["t", "s_norm", "z1", "z2", "w"], rows)

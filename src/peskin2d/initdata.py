@@ -216,6 +216,7 @@ class InitialDataSpec:
         if self.target_norm is not None:
             curve = rescale_to_norm(curve, *self.target_norm)
         sp = split(curve)
-        if not p.get("allow_steady", False):
-            assert sp.a0 == 0 and sp.a1 == 0
+        if not p.get("allow_steady", False) and (sp.a0 != 0 or sp.a1 != 0):
+            raise ConfigError(f"initial data {self.kind!r} has steady modes "
+                              f"a0 = {sp.a0}, a1 = {sp.a1}; both must be 0")
         return curve, report

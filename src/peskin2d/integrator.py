@@ -23,6 +23,8 @@ once from a1(0) and the coefficient drift lives inside the residual; the
 refreshed policy rebuilds them from a1(t) every step.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,10 +58,15 @@ class RunConfig:
     def __post_init__(self):
         if self.M is not None and self.M < 4 * self.K:
             raise ConfigError(f"M={self.M} must be >= 4K = {4 * self.K}")
-        if self.dt is not None and not (np.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt!r}")
+        for name in ("dt", "t_end", "snapshot_every"):
+            value = getattr(self, name)
+            if value is not None and not _positive_real(value):
+                raise ConfigError(f"{name} must be positive and finite, got {value!r}")
         if self.dt is not None and self.t_end < self.dt:
             raise ConfigError("t_end must be >= dt")
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
+                   for k in self.watch_modes):
+            raise ConfigError(f"watch_modes must be integers, got {self.watch_modes!r}")
 
     @staticmethod
     def from_dict(d):
@@ -87,6 +94,11 @@ class RunConfig:
             raise ConfigError(f"missing config key: {e}") from e
         except (TypeError, ValueError) as e:
             raise ConfigError(f"invalid config value: {e}") from e
+
+
+def _positive_real(x):
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x) and x > 0)
 
 
 @dataclass

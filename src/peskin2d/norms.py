@@ -19,6 +19,7 @@ k = 0 residual reconstruct the input exactly.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,12 +45,20 @@ def n_blocks(K):
     return max(1, int(np.floor(np.log2(max(K, 1)))) + 2)
 
 
+@lru_cache(maxsize=256)
+def _block_weights(n, K):
+    """phi_n(k) on k = -K..K, read-only."""
+    w = phi_weight(n, np.arange(-K, K + 1))
+    w.flags.writeable = False
+    return w
+
+
 def lp_project(c, n):
     """Coefficients of the block P_n f: phi_n(k) c_k."""
     if n < 0:
         raise ConfigError("block index must be >= 0")
     c = _as_coeffs(c)
-    return phi_weight(n, _kvals(c)) * c
+    return _block_weights(n, (c.size - 1) // 2) * c
 
 
 def low_residual(c):
@@ -109,8 +118,7 @@ def block_l2_profile(c):
 def s_norm(c, oversample=8):
     """|f'|_Linf plus the sup over blocks of 2^{3n/2} |P_n f|_L2."""
     c = _as_coeffs(c)
-    prof = block_l2_profile(c)
-    return linf_norm(deriv_coeffs(c), oversample) + float(prof.max(initial=0.0))
+    return _s_from(block_l2_profile(c), linf_norm(deriv_coeffs(c), oversample))
 
 
 def z1_weight(c, t, oversample=8):
@@ -118,11 +126,7 @@ def z1_weight(c, t, oversample=8):
     if t < 0:
         raise ConfigError("z1 weight needs t >= 0")
     c = _as_coeffs(c)
-    prof = block_l2_profile(c)
-    n = np.arange(prof.size)
-    weighted = (1.0 + 2.0 ** n * t) ** (2.0 / 3.0) * prof
-    return (1.0 + t) ** (2.0 / 3.0) * linf_norm(deriv_coeffs(c), oversample) \
-        + float(weighted.max(initial=0.0))
+    return _z1_from(block_l2_profile(c), linf_norm(deriv_coeffs(c), oversample), t)
 
 
 def z2_weight(c, t):
@@ -134,8 +138,23 @@ def z2_weight(c, t):
     """
     if t < 0:
         raise ConfigError("z2 weight needs t >= 0")
-    c = _as_coeffs(c)
-    prof = block_l2_profile(c)
+    return _z2_from(block_l2_profile(_as_coeffs(c)), t)
+
+
+# The three snapshots from the block profile prof and d_inf = |f'|_Linf.
+
+
+def _s_from(prof, d_inf):
+    return d_inf + float(prof.max(initial=0.0))
+
+
+def _z1_from(prof, d_inf, t):
+    n = np.arange(prof.size)
+    weighted = (1.0 + 2.0 ** n * t) ** (2.0 / 3.0) * prof
+    return (1.0 + t) ** (2.0 / 3.0) * d_inf + float(weighted.max(initial=0.0))
+
+
+def _z2_from(prof, t):
     if t == 0.0:
         return 0.0 if float(prof.max(initial=0.0)) == 0.0 else float("inf")
     n = np.arange(prof.size)
@@ -155,14 +174,22 @@ class NormReport:
 
 
 def norm_report(c, t, oversample=8):
-    """Evaluate every diagnostic of a coefficient snapshot at time t."""
+    """Evaluate every diagnostic of a coefficient snapshot at time t.
+
+    The block profile and |f'|_Linf are computed once and shared; each
+    value equals the one its single-diagnostic function returns.
+    """
+    if t < 0:
+        raise ConfigError("norm report needs t >= 0")
     c = _as_coeffs(c)
+    prof = block_l2_profile(c)
+    d_inf = linf_norm(deriv_coeffs(c), oversample)
     return NormReport(
-        s_norm=s_norm(c, oversample),
-        z1_snapshot=z1_weight(c, t, oversample),
-        z2_snapshot=z2_weight(c, t),
+        s_norm=_s_from(prof, d_inf),
+        z1_snapshot=_z1_from(prof, d_inf, t),
+        z2_snapshot=_z2_from(prof, t),
         w_snapshot=wiener_snapshot(c, t),
-        block_profile=block_l2_profile(c))
+        block_profile=prof)
 
 
 def _shell_masks(k):

@@ -101,8 +101,15 @@ class TestSimulate:
         {"initial_data": {"kind": "corner", "strengths": [1.0]}},
         {"initial_data": {"kind": "single_mode", "k": "x"}},
         {"dt": float("nan")},
+        {"snapshot_every": "x"},
+        {"watch_modes": "ab"},
+        {"t_end": float("inf")},
+        {"snapshot_every": 0.0},
+        {"snapshot_every": -0.25},
     ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
-            "mode-not-int", "dt-nan"])
+            "mode-not-int", "dt-nan", "snapshot-every-string",
+            "watch-modes-string", "t-end-inf", "snapshot-every-zero",
+            "snapshot-every-negative"])
     def test_bad_config_value_exit_code(self, tmp_path, override):
         # a bad value is a config error (exit 2), never an uncaught exception
         code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
@@ -203,6 +210,29 @@ class TestTrajectoryTools:
         assert main(["fit-decay", "--traj", out, "--out", dout]) == EXIT_OK
         decay = json.load(open(os.path.join(dout, "decay.json")))
         assert decay["rate"] == pytest.approx(1.0, rel=0.01)  # cubic mode-2 rate
+
+    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    def test_snapshot_without_time_exit_code(self, tmp_path, capsys, command):
+        _, out = simulate(tmp_path)
+        path = os.path.join(out, "snapshot_000001.json")
+        snap = json.load(open(path))
+        del snap["time"]
+        json.dump(snap, open(path, "w"))
+        assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "snapshot_000001.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", ["drop-column", "bad-cell"])
+    def test_malformed_table_exit_code(self, tmp_path, capsys, edit):
+        _, out = simulate(tmp_path)
+        path = os.path.join(out, "diagnostics.csv")
+        lines = open(path).read().splitlines()
+        if edit == "drop-column":
+            lines = [line.rsplit(",", 1)[0] for line in lines]   # drops a1_im
+        else:
+            lines[2] = "x" + lines[2]
+        open(path, "w").write("\n".join(lines) + "\n")
+        assert main(["fit-decay", "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "diagnostics.csv" in capsys.readouterr().err
 
     def test_fit_decay_insufficient(self, tmp_path):
         config = dict(SIM_CONFIG)

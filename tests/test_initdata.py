@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from peskin2d import (ConfigError, GeometryError, InitialDataSpec, analyze,
-                      make_corner, make_polygonal, make_random_decay,
+from peskin2d import (ConfigError, FourierCurve, GeometryError,
+                      InitialDataSpec, analyze, make_corner, make_polygonal, make_random_decay,
                       make_single_mode, rescale_to_norm, s_norm, split,
                       synthesize, wiener_snapshot)
+from peskin2d import initdata
 from peskin2d.initdata import tent_hat
 from peskin2d.norms import block_l2_profile
 
@@ -168,3 +169,14 @@ class TestSpec:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             InitialDataSpec.from_dict({"kind": "fractal"}).make(8)
+
+    def test_steady_modes_rejected_without_assert(self, monkeypatch):
+        # a generator that leaves a0 != 0 is a config error, also under -O
+        def shifted(K, *args, **kwargs):
+            modes = np.zeros(2 * K + 1, dtype=complex)
+            modes[K] = 1e-3
+            modes[K + 2] = 1e-3
+            return FourierCurve(modes)
+        monkeypatch.setattr(initdata, "make_random_decay", shifted)
+        with pytest.raises(ConfigError, match="steady modes"):
+            InitialDataSpec.from_dict({"kind": "random_decay"}).make(8)

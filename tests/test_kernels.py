@@ -4,10 +4,12 @@ import pytest
 from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel,
                       l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
                       pv_quadrature_jk)
-from peskin2d.kernels import (dyadic_alphas, fit_kernel_bounds,
-                              l_kernel_l1, l_kernel_lowpass, l_tilde_dalpha_l1,
-                              l_tilde_l1, phi_cumulative, psi_l1_norm,
-                              smooth_step)
+from peskin2d import kernels
+from peskin2d.curve import fourier_samples
+from peskin2d.kernels import (_grid_size, _l1_rows, _psi_support, dyadic_alphas,
+                              fit_kernel_bounds, l_kernel_l1, l_kernel_lowpass,
+                              l_tilde_dalpha_l1, l_tilde_l1, phi_cumulative,
+                              psi_l1_norm, smooth_step)
 
 
 class TestExactValues:
@@ -208,3 +210,92 @@ class TestBoundStability:
                     "l_tilde_dalpha_sharp"):
             assert np.isfinite(coarse[key]) and coarse[key] > 0
             assert abs(fine[key] - coarse[key]) / coarse[key] <= 0.20
+
+
+def _complex_lattice_norms(n, alpha, oversample=8, h_rel=1e-5):
+    """|L_n|, clamped |L~_n|, literal |L~_n| and |d_a L~_n| the direct way.
+
+    Each field is a complex inverse FFT of w e^{-ik alpha}, multiplied by
+    the complex half kernel; the norm is np.abs(...).sum() on the grid.
+    """
+    M = _grid_size(n, oversample)
+    k, w = _psi_support(n)
+    vals = fourier_samples(k, w, M)
+    dvals = fourier_samples(k, w * 1j * k, M)
+
+    def field(a, factor):
+        hk = np.exp(-1j * a / 2) / (2 * np.sin(a / 2))
+        return hk * (vals - fourier_samples(k, w * np.exp(-1j * k * a), M) - factor * dvals)
+
+    def norm(v):
+        return float(np.abs(v).sum() * 2 * np.pi / M)
+
+    def clamped(a):
+        return np.sign(a) * min(abs(a), 2.0 ** -n)
+
+    h = h_rel * max(abs(alpha), 2.0 ** -n)
+    deriv = (field(alpha + h, clamped(alpha + h)) - field(alpha - h, clamped(alpha - h))) / (2 * h)
+    return (norm(field(alpha, 0.0)), norm(field(alpha, clamped(alpha))),
+            norm(field(alpha, min(2.0 ** -n, alpha))), norm(deriv))
+
+
+def _lattice_mags(n):
+    return (2.0 ** -10, 2.0 ** -n, 0.3, 1.68)
+
+
+class TestBatchedLattice:
+    @pytest.mark.parametrize("n", range(5))
+    def test_even_in_alpha(self, n):
+        for a in _lattice_mags(n):
+            for fn in (l_kernel_l1, l_tilde_l1, l_tilde_dalpha_l1):
+                assert fn(n, -a) == pytest.approx(fn(n, a), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_complex_transform(self, n):
+        for mag in _lattice_mags(n):
+            # below |alpha| 2^n = 1/16, L~ is a second-order remainder and
+            # both evaluations lose digits to the cancellation psi(s) -
+            # psi(s - alpha) - alpha psi'(s) (each is within 6e-12 of a
+            # cancellation-free sum at n = 0, alpha = 2^-10)
+            tilde_rel = 1e-13 if mag * 2.0 ** n >= 1.0 / 16 else 1e-11
+            for a in (mag, -mag):
+                l1, clamped, literal, deriv = _complex_lattice_norms(n, a)
+                assert l_kernel_l1(n, a) == pytest.approx(l1, rel=1e-13)
+                assert l_tilde_l1(n, a) == pytest.approx(clamped, rel=tilde_rel)
+                assert l_tilde_l1(n, a, min_form="literal") == pytest.approx(
+                    literal, rel=tilde_rel)
+                assert l_tilde_dalpha_l1(n, a) == pytest.approx(deriv, rel=1e-9)
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        n = 5
+        M = _grid_size(n, 8)
+        mags = np.abs(dyadic_alphas(3))[:31]     # 31 rows: no chunk size divides it
+        want = _l1_rows(n, mags, M)
+        for rows in (1, 2, 4, 5, 64):
+            monkeypatch.setattr(kernels, "_CHUNK_SAMPLES", 3 * M * rows)
+            got = _l1_rows(n, mags, M)
+            assert np.array_equal(got, want), rows
+
+    def test_pinned_constants(self):
+        # fit_kernel_bounds(range(7), dyadic_alphas(4), 8) before the
+        # lattice was batched: one complex inverse FFT per field and alpha
+        want = {"l_bound": 42.99435584710013,
+                "l_tilde_bound": 103.46874040806469,
+                "l_tilde_dalpha": 5277.631213444279,
+                "l_tilde_dalpha_sharp": 103.44779474187722,
+                "l_tilde_bound_literal": 103.46874040806469}
+        got = fit_kernel_bounds(range(7), dyadic_alphas(4), 8)
+        assert set(got) == set(want)
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
+        assert got["l_tilde_bound_literal"] == got["l_tilde_bound"]
+
+    def test_literal_constant_uses_positive_alphas_only(self):
+        # with only negative offsets the literal form has no entries
+        got = fit_kernel_bounds(range(3), -np.abs(dyadic_alphas(2)), 8)
+        assert got["l_tilde_bound_literal"] == 0.0
+        assert got["l_tilde_bound"] > 0.0
+
+    def test_rejects_aliased_grid(self):
+        with pytest.raises(ConfigError):
+            fit_kernel_bounds(range(2), dyadic_alphas(1), oversample=1)

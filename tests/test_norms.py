@@ -36,6 +36,19 @@ class TestProjection:
         assert rep.w_snapshot == pytest.approx(wiener_snapshot(c, 0.5), rel=1e-14)
         assert np.all(rep.block_profile >= 0)
 
+    @pytest.mark.parametrize("t", [0.0, 0.02, 1.5])
+    def test_norm_report_equals_single_diagnostics(self, rng, t):
+        # measure-norms writes the report's values with repr(), so sharing
+        # the block profile must not move a single bit
+        from peskin2d.norms import norm_report
+        c = random_y_modes(rng, 64, amp=0.1)
+        rep = norm_report(c, t)
+        assert rep.s_norm == s_norm(c)
+        assert rep.z1_snapshot == z1_weight(c, t)
+        assert rep.z2_snapshot == z2_weight(c, t)
+        assert rep.w_snapshot == wiener_snapshot(c, t)
+        assert np.array_equal(rep.block_profile, block_l2_profile(c))
+
     def test_parseval_vs_grid_quadrature(self, rng):
         c = random_y_modes(rng, 16, amp=0.7)
         block = lp_project(c, 2)
