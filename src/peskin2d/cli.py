@@ -27,9 +27,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .curve import from_json_dict, split, to_json_dict
+from .curve import FourierCurve, from_json_dict, split, to_json_dict
 from .errors import (ConfigError, GeometryError, InsufficientDecay,
-                     PeskinError, StepRejected, TensionDomainError)
+                     PeskinError, StepRejected, TensionDomainError, config_values)
 from .integrator import RunConfig, Trajectory, fit_decay, run
 from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
                       l_kernel, psi_l1_norm, pv_quadrature_ik, pv_quadrature_jk,
@@ -59,9 +59,19 @@ _ERROR_CODES = [
 def _load_json(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object, "
+                          f"got {type(config).__name__}")
+    return config
+
+
+def _at_least(name, value, lo):
+    if value < lo:
+        raise ConfigError(f"{name} must be >= {lo}, got {value}")
+    return value
 
 
 def _sha256(path):
@@ -123,8 +133,6 @@ def _cmd_simulate(args):
             config["watch_modes"] = [int(x) for x in args.watch_modes.split(",")]
         except ValueError as e:
             raise ConfigError(f"--watch-modes is not a comma-separated integer list: {e}") from e
-    if args.threads is not None:
-        config["threads"] = args.threads
     cfg = RunConfig.from_dict(config)
     out = _ensure_out(args.out)
     traj = run(cfg)
@@ -155,9 +163,10 @@ def _cmd_simulate(args):
 
 def _cmd_linear_spectrum(args):
     config = _load_json(args.config)
-    law = law_from_config(config.get("law", {"law": "hookean"}))
-    a1 = complex(*config.get("a1", [0.0, 0.0]))
-    m_max = int(config.get("m_max", 32))
+    with config_values():
+        law = law_from_config(config.get("law", {"law": "hookean"}))
+        a1 = complex(*config.get("a1", [0.0, 0.0]))
+        m_max = _at_least("m_max", int(config.get("m_max", 32)), 3)
     rows = spectrum_report(law, a1, m_max)
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "spectrum.csv"),
@@ -169,19 +178,20 @@ def _cmd_linear_spectrum(args):
 
 def _cmd_verify_kernels(args):
     config = _load_json(args.config) if args.config else {}
-    k_max = int(config.get("k_max", 64))
-    M = int(config.get("M", 1024))
-    n_max = int(config.get("n_max", 6))
-    oversample = int(config.get("oversample", 8))
+    with config_values():
+        k_max = _at_least("k_max", int(config.get("k_max", 64)), 0)
+        M = int(config.get("M", 1024))
+        n_max = _at_least("n_max", int(config.get("n_max", 6)), 0)
+        oversample = int(config.get("oversample", 8))
+        npd = _at_least("alphas_per_decade", int(config.get("alphas_per_decade", 4)), 1)
 
-    ident_err = 0.0
-    for k in range(-k_max, k_max + 1):
-        ident_err = max(ident_err,
-                        abs(pv_quadrature_ik(k, M) - ik_exact(k)),
-                        abs(pv_quadrature_jk(k, M) - jk_exact(k)))
+    # np.max keeps a NaN error; the builtin max would drop it
+    ks = range(-k_max, k_max + 1)
+    ident_err = float(np.max([abs(pv_quadrature_ik(k, M) - ik_exact(k)) for k in ks]
+                             + [abs(pv_quadrature_jk(k, M) - jk_exact(k)) for k in ks]))
 
     rng = np.random.default_rng(7)
-    dual_err = 0.0
+    dual_errs = []
     for _ in range(50):
         n = int(rng.integers(0, n_max + 1))
         s = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -192,9 +202,9 @@ def _cmd_verify_kernels(args):
         w = phi_weight(n + 2, kk)
         direct = np.sum(w * np.exp(-1j * a / 2.0) * (1.0 - np.exp(-1j * a * kk))
                         / (2.0 * np.sin(a / 2.0)) * np.exp(1j * s * kk))
-        dual_err = max(dual_err, abs(direct - l_kernel(n, s, a)))
+        dual_errs.append(abs(direct - l_kernel(n, s, a)))
+    dual_err = float(np.max(dual_errs))
 
-    npd = int(config.get("alphas_per_decade", 4))
     coarse = fit_kernel_bounds(range(n_max + 1), dyadic_alphas(npd), oversample)
     fine = fit_kernel_bounds(range(n_max + 1), dyadic_alphas(2 * npd), 2 * oversample)
     stability = {key: abs(fine[key] - coarse[key]) / coarse[key]
@@ -282,7 +292,15 @@ def _cmd_fit_decay(args):
 
 def _cmd_verify_linearization(args):
     config = _load_json(args.config)
-    law = law_from_config(config["law"])
+    with config_values():
+        law = law_from_config(config["law"])
+        a1 = complex(*config.get("a1", [0.0, 0.0]))
+        k_check = _at_least("k_max", int(config.get("k_max", 12)), 2)
+        K = k_check + 2
+        M = int(config.get("M", max(8 * K, 160)))
+        delta = float(config.get("delta", 1e-6))
+    if not (np.isfinite(delta) and delta > 0):
+        raise ConfigError(f"delta must be positive and finite, got {delta!r}")
     bad = law.positivity_failures()
     out = _ensure_out(args.out)
     if bad.size:
@@ -294,16 +312,10 @@ def _cmd_verify_linearization(args):
                         ["linearization_report.json"])
         return EXIT_CHECK_FAILED
 
-    a1 = complex(*config.get("a1", [0.0, 0.0]))
-    k_check = int(config.get("k_max", 12))
-    K = k_check + 2
-    M = int(config.get("M", max(8 * K, 160)))
-    delta = float(config.get("delta", 1e-6))
     coeffs = linear_coefficients(law, a1)
     base = np.zeros(2 * K + 1, dtype=complex)
     base[K + 1] = a1
-    from .curve import FourierCurve
-    max_rel = 0.0
+    errors = []
     for k in range(-k_check, k_check + 1):
         if k in (0, 1):
             continue
@@ -315,7 +327,8 @@ def _cmd_verify_linearization(args):
             jac = (fp - fm) / (2.0 * delta)
             ck = linear_mode_rhs(e, coeffs, a1)
             scale = np.abs(ck).max()
-            max_rel = max(max_rel, float(np.abs(jac - ck).max() / scale))
+            errors.append(float(np.abs(jac - ck).max() / scale))
+    max_rel = float(np.max(errors))
     passed = max_rel <= 1e-6
     report = {"structural_condition": "ok", "max_relative_jacobian_error": max_rel,
               "threshold": 1e-6, "pass": passed}
@@ -342,7 +355,6 @@ def _build_parser():
             sp.add_argument("--config", required=(name != "verify-kernels"),
                             help="JSON config path")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--threads", type=int, default=None)
         if name == "simulate":
             sp.add_argument("--snapshot-every", type=float, default=None)
             sp.add_argument("--watch-modes", type=str, default=None,

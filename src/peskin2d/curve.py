@@ -7,7 +7,13 @@ perturbation X, so the physical curve is
 
 The base circle e^{is} is never stored; it is added back on synthesis.
 Coefficients follow the convention a_k = (1/2pi) integral X(s) e^{-iks} ds.
-All operations are pure functions over immutable values.
+All operations are pure functions over immutable values; every transform
+is one FFT of any even size M >= 2K+2.
+
+half_kernel is the one (s, alpha) form of the half-angle kernel
+e^{-i alpha/2} / (2 sin(alpha/2)) shared by y_tilde here, the boundary
+integral in nonlin and the difference kernels in kernels; near_zero marks
+the offsets where its removable singularity needs the limit form.
 """
 
 import csv
@@ -84,12 +90,8 @@ def wavenumbers(K):
     return np.arange(-K, K + 1)
 
 
-def _is_pow2(n):
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def _dft_direct(values, K):
-    """O(M^2) forward transform; doubles as the oracle for the fast path."""
+    """O(M^2) forward transform: the tests' oracle for the FFT path."""
     M = values.size
     j = np.arange(M)
     k = wavenumbers(K)
@@ -107,23 +109,14 @@ def fourier_samples(k, coeff, M):
     return np.fft.ifft(spec) * M
 
 
-def _modes_to_grid(modes, M, phase_shift=0.0):
-    """Evaluate sum a_k e^{ik(s_j + phase_shift)} on the M-point grid."""
-    K = (modes.size - 1) // 2
-    k = wavenumbers(K)
-    coeff = modes * np.exp(1j * k * phase_shift) if phase_shift else modes
-    if _is_pow2(M):
-        return fourier_samples(k, coeff, M)
-    s = 2.0 * np.pi * np.arange(M) / M
-    return np.exp(1j * np.outer(s, k)) @ coeff
+def _modes_to_grid(modes, M):
+    """Evaluate sum a_k e^{iks_j} on the M-point grid."""
+    return fourier_samples(wavenumbers((modes.size - 1) // 2), modes, M)
 
 
 def _grid_to_modes(values, K):
     M = values.size
-    if _is_pow2(M):
-        spec = np.fft.fft(values) / M
-        return spec[wavenumbers(K) % M]
-    return _dft_direct(values, K)
+    return (np.fft.fft(values) / M)[wavenumbers(K) % M]
 
 
 def _check_grid(M, K):
@@ -189,7 +182,17 @@ def eval_y(curve, s, order=0):
     return np.exp(1j * np.multiply.outer(s, k)) @ coeff
 
 
-_YT_SMALL = 1e-8
+def half_kernel(alpha):
+    """The half-angle kernel e^{-i alpha/2} / (2 sin(alpha/2)).
+
+    Callers keep alpha off the zero set 2 pi Z (see near_zero).
+    """
+    return np.exp(-0.5j * alpha) / (2.0 * np.sin(alpha / 2.0))
+
+
+def near_zero(alpha):
+    """Mask of the offsets within 1e-8 of 2 pi Z, where half_kernel is singular."""
+    return np.abs(np.remainder(alpha + np.pi, 2.0 * np.pi) - np.pi) < 1e-8
 
 
 def y_tilde(curve, s, alpha):
@@ -203,13 +206,11 @@ def y_tilde(curve, s, alpha):
     s = np.asarray(s, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     s, alpha = np.broadcast_arrays(s, alpha)
-    small = np.abs(np.remainder(alpha + np.pi, 2.0 * np.pi) - np.pi) < _YT_SMALL
+    small = near_zero(alpha)
     safe_alpha = np.where(small, 1.0, alpha)
     ys = eval_y(curve, s)
     ysa = eval_y(curve, s - safe_alpha)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        main = np.exp(-1j * s) * np.exp(-1j * safe_alpha / 2) * (ysa - ys) \
-            / (2.0 * np.sin(safe_alpha / 2.0))
+    main = np.exp(-1j * s) * half_kernel(safe_alpha) * (ysa - ys)
     limit = -np.exp(-1j * s) * eval_y(curve, s, order=1)
     out = np.where(small, limit, main)
     return complex(out) if out.ndim == 0 else out

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import contextlib
+
 
 class PeskinError(Exception):
     """Base class for all package-specific errors."""
@@ -7,6 +9,17 @@ class PeskinError(Exception):
 
 class ConfigError(PeskinError):
     """Malformed or inconsistent run configuration."""
+
+
+@contextlib.contextmanager
+def config_values():
+    """Turn a missing key or a malformed value read from a config into a ConfigError."""
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"missing config key: {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"invalid config value: {e}") from e
 
 
 class GeometryError(PeskinError):

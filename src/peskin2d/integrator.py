@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import FourierCurve, split
-from .errors import ConfigError, InsufficientDecay, StepRejected
+from .errors import ConfigError, InsufficientDecay, StepRejected, config_values
 from .initdata import InitialDataSpec
 from .linear import pair_matrices, propagator_tables
-from .nonlin import eval_nonlinearity, linear_mode_rhs
+from .nonlin import eval_residual
 from .norms import l2_norm, linf_norm, deriv_coeffs
 from .tension import linear_coefficients
 
@@ -67,6 +67,9 @@ class RunConfig:
         if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool)
                    for k in self.watch_modes):
             raise ConfigError(f"watch_modes must be integers, got {self.watch_modes!r}")
+        if not isinstance(self.frozen_coefficients, bool):
+            raise ConfigError("frozen_coefficients must be true or false, "
+                              f"got {self.frozen_coefficients!r}")
 
     @staticmethod
     def from_dict(d):
@@ -78,22 +81,17 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            law = law_from_config(d["law"])
-            initial = InitialDataSpec.from_dict(d["initial_data"])
+        with config_values():
             return RunConfig(
-                law=law, initial=initial,
+                law=law_from_config(d["law"]),
+                initial=InitialDataSpec.from_dict(d["initial_data"]),
                 K=int(d.get("K", 128)), M=d.get("M"),
                 dt=d.get("dt"), t_end=float(d.get("t_end", 1.0)),
                 snapshot_every=d.get("snapshot_every"),
-                frozen_coefficients=bool(d.get("frozen_coefficients", True)),
+                frozen_coefficients=d.get("frozen_coefficients", True),
                 watch_modes=tuple(d.get("watch_modes", (2, 3, -1))),
                 threads=int(d.get("threads", 1)),
                 raw=dict(d))
-        except KeyError as e:
-            raise ConfigError(f"missing config key: {e}") from e
-        except (TypeError, ValueError) as e:
-            raise ConfigError(f"invalid config value: {e}") from e
 
 
 def _positive_real(x):
@@ -185,21 +183,12 @@ def step(curve, law, dt, cfg, props=None):
     """
     K = curve.K
     M = cfg.M if cfg.M is not None else 4 * K
-    sp = split(curve)
     if props is None:
-        a1_ref = sp.a1
+        a1_ref = curve.mode(1)
         props = _Propagators(linear_coefficients(law, a1_ref), a1_ref, dt, K)
-    coeffs, a1_ref = props.coeffs, props.a1_ref
-
-    ev = eval_nonlinearity(curve, law, M)
-    L = ev.n_modes - linear_mode_rhs(sp.y_modes, coeffs, a1_ref)
-
-    predictor = props.advance(K, curve.modes, L)
-    pred_curve = FourierCurve(predictor, curve.time + dt)
-    sp_pred = split(pred_curve)
-    ev_star = eval_nonlinearity(pred_curve, law, M)
-    L_star = ev_star.n_modes - linear_mode_rhs(sp_pred.y_modes, coeffs, a1_ref)
-
+    L = eval_residual(curve, law, M, props.coeffs, props.a1_ref)
+    predictor = FourierCurve(props.advance(K, curve.modes, L), curve.time + dt)
+    L_star = eval_residual(predictor, law, M, props.coeffs, props.a1_ref)
     new = props.advance(K, curve.modes, L, L_star)
     _guard_blowup(curve.modes, new)
     return FourierCurve(new, curve.time + dt)

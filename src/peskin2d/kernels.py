@@ -14,6 +14,10 @@ machine precision because its nodes are symmetric about the singularity;
 the package evaluates the symmetric pair sum in closed form so the odd
 part of the integrand cancels exactly in floating point as well.
 
+The half-angle kernel itself is curve.half_kernel, the one (s, alpha)
+form the package shares; curve.near_zero marks the offsets where L_n
+takes its limit form.
+
 Dyadic frequency bumps phi_n localize to |k| in [2^{n-1}, 2^{n+1}] and
 form a partition of unity on |k| >= 1.  The localized convolution
 kernels psi_n and the difference kernels L_n, L~_n built from them obey
@@ -35,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import fourier_samples
+from .curve import fourier_samples, half_kernel, near_zero
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -147,45 +151,21 @@ def psi_n(n, s, order=0):
     return complex(out) if out.ndim == 0 else out
 
 
-def psi_cumulative(n, s):
-    """Low-pass kernel with hat = phi_cumulative(n+2, k), modes {0, 1} removed."""
-    kmax = 2 ** (n + 3)
-    k = np.arange(-kmax, kmax + 1)
-    w = phi_cumulative(n + 2, k)
-    w[(k == 0) | (k == 1)] = 0.0
-    s = np.asarray(s, dtype=float)
-    out = np.exp(1j * np.multiply.outer(s, k)) @ w.astype(complex)
-    return complex(out) if out.ndim == 0 else out
-
-
-_L_SMALL = 1e-8
-
-
-def _half_kernel(alpha):
-    """e^{-i alpha/2} / (2 sin(alpha/2)); caller keeps alpha off the zero set."""
-    return np.exp(-1j * alpha / 2.0) / (2.0 * np.sin(alpha / 2.0))
-
-
 def l_kernel(n, s, alpha):
     """Difference kernel L_n(s, alpha) = half_kernel(alpha) (psi_n(s) - psi_n(s - alpha)).
 
-    For |alpha| below 1e-8 the removable singularity is crossed with the
+    Where near_zero(alpha) the removable singularity is crossed with the
     limit psi_n'(s) carried to first order in alpha.
     """
     s = np.asarray(s, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
     s, alpha = np.broadcast_arrays(s, alpha)
-    small = np.abs(np.remainder(alpha + np.pi, 2.0 * np.pi) - np.pi) < _L_SMALL
+    small = near_zero(alpha)
     safe = np.where(small, 1.0, alpha)
-    main = _half_kernel(safe) * (psi_n(n, s) - psi_n(n, s - safe))
+    main = half_kernel(safe) * (psi_n(n, s) - psi_n(n, s - safe))
     limit = psi_n(n, s, order=1) * np.exp(-1j * alpha / 2.0)
     out = np.where(small, limit, main)
     return complex(out) if out.ndim == 0 else out
-
-
-def l_kernel_lowpass(n, s, alpha):
-    """Cumulative counterpart of l_kernel built from psi_cumulative."""
-    return _half_kernel(alpha) * (psi_cumulative(n, s) - psi_cumulative(n, s - alpha))
 
 
 def l_tilde_kernel(n, s, alpha, min_form="clamped"):
@@ -209,7 +189,7 @@ def l_tilde_kernel(n, s, alpha, min_form="clamped"):
         factor = np.sign(alpha) * np.minimum(np.abs(alpha), 2.0 ** (-n))
     else:
         factor = np.minimum(2.0 ** (-n), alpha)
-    out = l_kernel(n, s, alpha) - _half_kernel(alpha) * factor * psi_n(n, s, order=1)
+    out = l_kernel(n, s, alpha) - half_kernel(alpha) * factor * psi_n(n, s, order=1)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -291,7 +271,7 @@ def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
         a, h, f = (x[lo:lo + rows] for x in (alphas, steps, factors))
         shifts = np.stack([a, a + h, a - h])
         diff = vals - _real_samples(kp, wp * np.exp(-1j * shifts[..., None] * kp), M)
-        hk = _half_kernel(shifts)
+        hk = half_kernel(shifts)
         out[0, lo:lo + rows] = np.abs(hk[0]) * np.abs(diff[0]).sum(axis=-1)
         out[1, lo:lo + rows] = np.abs(hk[0]) * np.abs(
             diff[0] - f[:, None] * dvals).sum(axis=-1)

@@ -213,11 +213,6 @@ def phi2_pair(sys, dt):
     return propagator_matrices(sys, dt)[2]
 
 
-def pair_rate(sys):
-    """Exponential decay rate of e^{G t}: the negated spectral abscissa."""
-    return -sys.spectral_abscissa
-
-
 def spectrum_report(law, a1, m_max):
     """Rows (m, lambda1, lambda2, decay_rate) for 3 <= m <= m_max.
 

@@ -21,7 +21,8 @@ r = s singularity is never sampled and the midpoint rule is spectrally
 accurate.
 
 In (s, alpha) every factor is a 1-D array.  With c_q = 1/(2 sin(alpha_q/2))
-and w_q = c_q e^{i alpha_q/2},
+and w_q = c_q e^{i alpha_q/2}, so that conj(w_q) is the shared half-angle
+kernel curve.half_kernel(alpha_q),
 
     b = e^{is/2} (1 + i X~) = e^{is/2} + c_q i e^{-ir/2} (X(r) - X(s)),
     Re[ e^{-i(s-r)} g^2 T / (1 + i X~)^2 ] = Re[ H conj(b)^2 ] / |b|^4 =: rho,
@@ -46,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curve import fourier_samples, split, wavenumbers
+from .curve import fourier_samples, half_kernel, split, wavenumbers
 from .errors import ConfigError, GeometryError
 from .tension import linear_coefficients, small_t
 
@@ -79,7 +80,7 @@ def _workspace(M):
     s = 2.0 * np.pi * np.arange(M) / M
     offset = (2.0 * np.arange(M) + 1.0) * np.pi / M
     c = 1.0 / (2.0 * np.sin(offset / 2.0))
-    arrays = (np.exp(0.5j * s), c, c * np.exp(-0.5j * offset),
+    arrays = (np.exp(0.5j * s), c, half_kernel(offset),
               1j * np.exp(-0.5j * offset), np.exp(1j * offset))
     for arr in arrays:
         arr.flags.writeable = False

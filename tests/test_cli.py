@@ -1,13 +1,16 @@
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import sysconfig
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from peskin2d.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_GEOMETRY,
@@ -106,10 +109,11 @@ class TestSimulate:
         {"t_end": float("inf")},
         {"snapshot_every": 0.0},
         {"snapshot_every": -0.25},
+        {"frozen_coefficients": "no"},
     ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
             "watch-modes-string", "t-end-inf", "snapshot-every-zero",
-            "snapshot-every-negative"])
+            "snapshot-every-negative", "frozen-string"])
     def test_bad_config_value_exit_code(self, tmp_path, override):
         # a bad value is a config error (exit 2), never an uncaught exception
         code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
@@ -198,6 +202,32 @@ class TestSpectrumAndKernels:
         assert report["dual_formula_max_error"] <= 1e-10
 
 
+    @pytest.mark.parametrize("config", [
+        {"m_max": "x"},
+        {"m_max": 2},
+        {"law": {"law": "cubic", "c": "x"}},
+        {"a1": 3},
+    ], ids=["m-max-string", "m-max-2", "law-c-string", "a1-not-pair"])
+    def test_linear_spectrum_bad_config_exit_code(self, tmp_path, config):
+        cfg = write_config(tmp_path / "c.json", config)
+        assert main(["linear-spectrum", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("config", [
+        {"n_max": -1},
+        {"alphas_per_decade": 0},
+        {"k_max": "x"},
+        {"k_max": -5},
+        [1, 2],
+    ], ids=["n-max-negative", "alphas-per-decade-0", "k-max-string",
+            "k-max-negative", "not-an-object"])
+    def test_verify_kernels_bad_config_exit_code(self, tmp_path, config):
+        # k_max = -5 would check no identity and pass with error 0.0
+        cfg = write_config(tmp_path / "k.json", config)
+        assert main(["verify-kernels", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
 class TestTrajectoryTools:
     def test_measure_norms_and_fit_decay(self, tmp_path):
         _, out = simulate(tmp_path)
@@ -252,6 +282,35 @@ class TestVerifyLinearization:
         assert report["pass"] is True
         assert report["max_relative_jacobian_error"] <= 1e-6
 
+    @pytest.mark.parametrize("config", [
+        {},
+        {"law": {"law": "hookean"}, "k_max": "a"},
+        {"law": {"law": "hookean"}, "k_max": -3},
+        {"law": {"law": "hookean"}, "k_max": 0},
+        {"law": {"law": "hookean"}, "delta": 0},
+        {"law": {"law": "hookean"}, "delta": float("nan")},
+    ], ids=["no-law", "k-max-string", "k-max-negative", "k-max-0",
+            "delta-zero", "delta-nan"])
+    def test_bad_config_exit_code(self, tmp_path, config):
+        # k_max = 0 checks no mode, and delta = 0 makes the Jacobian NaN:
+        # either would pass on nothing
+        cfg = write_config(tmp_path / "l.json", config)
+        assert main(["verify-linearization", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_nan_jacobian_fails(self, tmp_path, monkeypatch):
+        # a non-finite error fails the check instead of vanishing inside max
+        import peskin2d.cli as cli
+        monkeypatch.setattr(cli, "eval_nonlinearity", lambda curve, law, M: SimpleNamespace(
+            n_modes=np.full(curve.modes.size, np.nan, dtype=complex)))
+        cfg = write_config(tmp_path / "l.json", {"law": {"law": "hookean"}, "k_max": 2})
+        out = str(tmp_path / "lin")
+        assert main(["verify-linearization", "--config", cfg,
+                     "--out", out]) == EXIT_CHECK_FAILED
+        report = json.load(open(os.path.join(out, "linearization_report.json")))
+        assert report["pass"] is False
+        assert math.isnan(report["max_relative_jacobian_error"])
+
     def test_broken_law_structural_report(self, tmp_path):
         cfg = write_config(tmp_path / "b.json",
                            {"law": {"law": "affine", "c0": 3.0, "c1": -1.0,
@@ -292,8 +351,7 @@ class TestInterface:
         cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
         out = str(tmp_path / "flags")
         code = main(["simulate", "--config", cfg, "--out", out,
-                     "--snapshot-every", "0.5", "--watch-modes", "2,5",
-                     "--threads", "2"])
+                     "--snapshot-every", "0.5", "--watch-modes", "2,5"])
         assert code == EXIT_OK
         header = open(os.path.join(out, "diagnostics.csv")).readline().strip()
         assert header.startswith("t,abs_a2,abs_a5,")

@@ -71,6 +71,15 @@ class TestAnalyze:
         back = analyze(synthesize(curve, M), K)
         assert np.abs(back.modes - curve.modes).max() < 1e-13
 
+    @pytest.mark.parametrize("M", [36, 100, 162])
+    def test_non_pow2_synthesis_matches_direct_sum(self, rng, M):
+        # the FFT path against e^{is_j} + sum_k a_k e^{iks_j}, summed directly
+        K = 16
+        curve = FourierCurve(random_y_modes(rng, K, amp=0.2))
+        s = 2 * np.pi * np.arange(M) / M
+        direct = np.exp(1j * s) + np.exp(1j * np.outer(s, wavenumbers(K))) @ curve.modes
+        assert np.abs(synthesize(curve, M).samples - direct).max() < 1e-13
+
 
 class TestSplit:
     def test_constant_mode(self):

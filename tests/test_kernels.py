@@ -7,7 +7,7 @@ from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel,
 from peskin2d import kernels
 from peskin2d.curve import fourier_samples
 from peskin2d.kernels import (_grid_size, _l1_rows, _psi_support, dyadic_alphas,
-                              fit_kernel_bounds, l_kernel_l1, l_kernel_lowpass,
+                              fit_kernel_bounds, l_kernel_l1,
                               l_tilde_dalpha_l1, l_tilde_l1, phi_cumulative,
                               psi_l1_norm, smooth_step)
 
@@ -149,16 +149,6 @@ class TestLKernel:
             conva = np.exp(1j * np.outer(sg - a, k)) @ (g * mult)
             got = np.exp(-1j * a / 2) * (conv - conva) / (2 * np.sin(a / 2))
             assert np.abs(got - want).max() < 1e-10
-
-    def test_lowpass_kernel_consistency(self, rng):
-        # l_kernel_lowpass evaluates the same object as the multiplier route
-        n, a, s = 2, 0.9, 1.3
-        kk = np.arange(-2 ** (n + 3), 2 ** (n + 3) + 1)
-        w = phi_cumulative(n + 2, kk)
-        w[(kk == 0) | (kk == 1)] = 0.0
-        direct = np.sum(w * np.exp(-1j * a / 2) * (1 - np.exp(-1j * a * kk))
-                        / (2 * np.sin(a / 2)) * np.exp(1j * s * kk))
-        assert abs(direct - l_kernel_lowpass(n, s, a)) < 1e-10
 
 
 class TestLTilde:
