@@ -167,6 +167,8 @@ def _cmd_linear_spectrum(args):
         law = law_from_config(config.get("law", {"law": "hookean"}))
         a1 = complex(*config.get("a1", [0.0, 0.0]))
         m_max = _at_least("m_max", int(config.get("m_max", 32)), 3)
+    if not np.isfinite(a1):
+        raise ConfigError(f"a1 must be finite, got {a1}")
     rows = spectrum_report(law, a1, m_max)
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "spectrum.csv"),

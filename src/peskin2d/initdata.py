@@ -215,6 +215,8 @@ class InitialDataSpec:
             raise ConfigError(f"invalid initial data {self.kind!r}: {e}") from e
         if self.target_norm is not None:
             curve = rescale_to_norm(curve, *self.target_norm)
+        if not np.all(np.isfinite(curve.modes)):
+            raise ConfigError(f"initial data {self.kind!r} has non-finite modes")
         sp = split(curve)
         if not p.get("allow_steady", False) and (sp.a0 != 0 or sp.a1 != 0):
             raise ConfigError(f"initial data {self.kind!r} has steady modes "

@@ -52,6 +52,10 @@ class TensionLaw:
 
     def check_domain(self, r):
         r = np.asarray(r, dtype=float)
+        if not np.all(np.isfinite(r)):
+            raise TensionDomainError(
+                f"stretch must be finite, got {np.count_nonzero(~np.isfinite(r))} "
+                "non-finite value(s)")
         if np.any(r <= 0):
             raise TensionDomainError(f"stretch must be positive, got {np.min(r)}")
         if np.any(r < self.r_min) or np.any(r > self.r_max):

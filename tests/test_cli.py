@@ -110,10 +110,11 @@ class TestSimulate:
         {"snapshot_every": 0.0},
         {"snapshot_every": -0.25},
         {"frozen_coefficients": "no"},
+        {"initial_data": {"kind": "single_mode", "k": 2, "amplitude": float("nan")}},
     ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
             "watch-modes-string", "t-end-inf", "snapshot-every-zero",
-            "snapshot-every-negative", "frozen-string"])
+            "snapshot-every-negative", "frozen-string", "amplitude-nan"])
     def test_bad_config_value_exit_code(self, tmp_path, override):
         # a bad value is a config error (exit 2), never an uncaught exception
         code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
@@ -207,7 +208,8 @@ class TestSpectrumAndKernels:
         {"m_max": 2},
         {"law": {"law": "cubic", "c": "x"}},
         {"a1": 3},
-    ], ids=["m-max-string", "m-max-2", "law-c-string", "a1-not-pair"])
+        {"a1": [float("nan"), 0.0]},
+    ], ids=["m-max-string", "m-max-2", "law-c-string", "a1-not-pair", "a1-nan"])
     def test_linear_spectrum_bad_config_exit_code(self, tmp_path, config):
         cfg = write_config(tmp_path / "c.json", config)
         assert main(["linear-spectrum", "--config", cfg,

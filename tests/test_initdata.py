@@ -170,6 +170,15 @@ class TestSpec:
         with pytest.raises(ConfigError):
             InitialDataSpec.from_dict({"kind": "fractal"}).make(8)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "single_mode", "k": 2, "amplitude": float("inf")},
+        {"kind": "random_decay", "amplitude": float("nan")},
+        {"kind": "corner", "positions": [0.0], "strengths": [float("nan")]},
+    ], ids=["single-mode-inf", "random-decay-nan", "corner-nan"])
+    def test_non_finite_modes_rejected(self, spec):
+        with pytest.raises(ConfigError, match="non-finite"):
+            InitialDataSpec.from_dict(spec).make(8)
+
     def test_steady_modes_rejected_without_assert(self, monkeypatch):
         # a generator that leaves a0 != 0 is a config error, also under -O
         def shifted(K, *args, **kwargs):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from peskin2d import (FourierCurve, GeometryError, TensionDomainError, cubic,
-                      eval_linear_part, eval_nonlinearity, eval_residual,
-                      hookean, linear_coefficients, linear_mode_rhs, split)
+from peskin2d import (FourierCurve, GeometryError, StepRejected,
+                      TensionDomainError, cubic, eval_linear_part,
+                      eval_nonlinearity, eval_residual, hookean,
+                      linear_coefficients, linear_mode_rhs, nonlin, split)
 from peskin2d.curve import wavenumbers
 from peskin2d.nonlin import chord_arc_ratio
 
@@ -267,7 +270,54 @@ class TestChordArc:
         assert chord_arc_ratio(curve, 64) < 0.01
 
 
+class TestTileBuffers:
+    # every call shares one cached set of tile scratch arrays per (rows, M)
+    def test_interleaved_calls_match_a_fresh_call(self, cubic_law):
+        K, M = 16, 100
+        a, b, c = (random_curve(K, seed) for seed in (11, 12, 13))
+        first = eval_nonlinearity(a, cubic_law, M)
+        eval_nonlinearity(b, cubic_law, M)
+        chord_arc_ratio(c, M)
+        eval_nonlinearity(a, cubic_law, 64)
+        again = eval_nonlinearity(a, cubic_law, M)
+        assert np.array_equal(again.n_modes, first.n_modes)
+        assert np.array_equal(again.grid_values, first.grid_values)
+
+    @pytest.mark.parametrize("rows", [7, 100])
+    def test_tile_height_leaves_results_bitwise_equal(self, cubic_law, monkeypatch, rows):
+        # M = 100 is no multiple of 32 or 7, so the last tile is short
+        K, M = 16, 100
+        curve = random_curve(K, 4)
+        ref = eval_nonlinearity(curve, cubic_law, M)
+        ref_ratio = chord_arc_ratio(curve, M)
+        monkeypatch.setattr(nonlin, "TILE_ROWS", rows)
+        got = eval_nonlinearity(curve, cubic_law, M)
+        assert np.array_equal(got.n_modes, ref.n_modes)
+        assert np.array_equal(got.grid_values, ref.grid_values)
+        assert chord_arc_ratio(curve, M) == ref_ratio
+
+    def test_warm_call_allocates_less_than_two_tiles(self, hookean_law):
+        # the per-tile temporaries are 32 x M complex each (512 KiB at
+        # M = 1024); a warm call writes them all into the cached scratch
+        K, M = 256, 1024
+        curve = random_curve(K, 5)
+        eval_nonlinearity(curve, hookean_law, M)
+        tracemalloc.start()
+        try:
+            eval_nonlinearity(curve, hookean_law, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nonlin.TILE_ROWS * M * 16, f"peak {peak / 2 ** 10:.0f} KiB"
+
+
 class TestErrors:
+    def test_non_finite_mode_rejected_on_entry(self, cubic_law):
+        # NaN compares False against the chord-arc and stretch guards
+        curve = curve_with(8, {2: 1e-3, 3: np.nan})
+        with pytest.raises(StepRejected, match="non-finite"):
+            eval_nonlinearity(curve, cubic_law, 64)
+
     def test_geometry_error(self):
         wide = cubic(r_min=0.05, r_max=10.0)
         with pytest.raises(GeometryError):

@@ -28,6 +28,14 @@ class TestSmallT:
         with pytest.raises(TensionDomainError):
             small_t(law, 3.0)  # outside default [0.5, 2]
 
+    def test_non_finite_stretch_rejected(self):
+        # NaN compares False against both interval ends
+        law = hookean()
+        with pytest.raises(TensionDomainError, match="finite"):
+            law.check_domain(np.array([1.0, np.nan]))
+        with pytest.raises(TensionDomainError, match="finite"):
+            linear_coefficients(law, complex(np.nan, 0.0))
+
 
 class TestSmallTPrime:
     def test_hookean_is_zero(self):
