@@ -14,7 +14,7 @@ contract:
 
     0 success            1 verification failed     2 config error
     3 geometry error     4 tension domain error    5 step rejected
-    6 insufficient decay
+    6 insufficient decay     7 ill-conditioned propagator
 """
 
 import argparse
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .curve import FourierCurve, from_json_dict, split, to_json_dict
-from .errors import (ConfigError, GeometryError, InsufficientDecay,
+from .errors import (ConfigError, GeometryError, IllConditioned, InsufficientDecay,
                      PeskinError, StepRejected, TensionDomainError, config_values)
 from .integrator import RunConfig, Trajectory, fit_decay, run
 from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
@@ -46,6 +46,7 @@ EXIT_GEOMETRY = 3
 EXIT_TENSION_DOMAIN = 4
 EXIT_STEP_REJECTED = 5
 EXIT_INSUFFICIENT_DECAY = 6
+EXIT_ILL_CONDITIONED = 7
 
 _ERROR_CODES = [
     (ConfigError, EXIT_CONFIG),
@@ -53,6 +54,7 @@ _ERROR_CODES = [
     (TensionDomainError, EXIT_TENSION_DOMAIN),
     (StepRejected, EXIT_STEP_REJECTED),
     (InsufficientDecay, EXIT_INSUFFICIENT_DECAY),
+    (IllConditioned, EXIT_ILL_CONDITIONED),
 ]
 
 

@@ -190,10 +190,12 @@ class InitialDataSpec:
     def make(self, K):
         """Generate (curve, report) at truncation K."""
         p = dict(self.params)
-        if "amplitude" in p and isinstance(p["amplitude"], (list, tuple)):
-            p["amplitude"] = complex(p["amplitude"][0], p["amplitude"][1])
         report = {}
         try:
+            if isinstance(p.get("amplitude"), (list, tuple)):
+                p["amplitude"] = complex(p["amplitude"][0], p["amplitude"][1])
+            if not np.isfinite(p.get("amplitude", 0.0)):  # before a generator's inf * 0
+                raise ConfigError(f"initial data {self.kind!r} has a non-finite amplitude")
             if self.kind == "single_mode":
                 curve = make_single_mode(K, int(p["k"]), p.get("amplitude", 1e-3),
                                          allow_steady=bool(p.get("allow_steady", False)))
@@ -211,7 +213,7 @@ class InitialDataSpec:
                 raise ConfigError(f"unknown initial data kind {self.kind!r}")
         except KeyError as e:
             raise ConfigError(f"initial data {self.kind!r} needs the key {e}") from e
-        except (TypeError, ValueError) as e:
+        except (IndexError, TypeError, ValueError) as e:
             raise ConfigError(f"invalid initial data {self.kind!r}: {e}") from e
         if self.target_norm is not None:
             curve = rescale_to_norm(curve, *self.target_norm)

@@ -39,11 +39,13 @@ below 0.  The sum runs over tiles of TILE_ROWS outer points, and no
 M x M array is formed.  Two caches serve each M: the read-only O(M)
 workspace, and one writable set of four TILE_ROWS x M scratch arrays
 that every tile pass writes into with out=, so no call allocates a
-tile-sized array (numpy's own ufunc buffers aside).  Row sums are numpy
-reductions in a fixed order, not BLAS calls, so the result does not
-depend on the BLAS thread count.
+tile-sized array.  The passes run with a one-row ufunc buffer, so numpy
+reads strided and broadcast operands in place instead of copying them.
+Row sums are numpy reductions in a fixed order, not BLAS calls, so the
+result does not depend on the BLAS thread count.
 """
 
+import contextlib
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -99,6 +101,16 @@ def _tile_buffers(rows, M):
     """
     return (np.empty((rows, M), dtype=complex), np.empty((rows, M), dtype=complex),
             np.empty((rows, M)), np.empty((rows, M)))
+
+
+@contextlib.contextmanager
+def _row_buffer(M):
+    """numpy's ufunc buffer at one tile row; set by callers, not the _chord_tiles generator."""
+    old = np.setbufsize(16 * -(-M // 16))  # a multiple of 16
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 def _values_on(modes, M, shift):
@@ -177,20 +189,21 @@ def eval_nonlinearity(curve, law, M):
     min2 = np.inf
     row_sums = np.empty(M, dtype=complex)
     _, b_sq_tile, _, tmp_tile = _tile_buffers(TILE_ROWS, M)
-    for rows, b, abs2 in _chord_tiles(xs, xr, M):
-        min2 = min(min2, float(abs2.min()))
-        if min2 <= CHORD_ARC_MIN ** 2:
-            continue
-        n = len(b)
-        # rho = Re[H conj(b)^2] / |b|^4 = Re[conj(H) b^2] / |b|^4, written
-        # contiguously: b *= rho is a third faster than with a strided rho
-        b_sq = np.multiply(b, b, out=b_sq_tile[:n])
-        b_sq *= conj_h_rows[rows]
-        abs4 = np.multiply(abs2, abs2, out=tmp_tile[:n])
-        rho = np.divide(b_sq.real, abs4, out=abs4)
-        b *= rho
-        b *= conj_w
-        row_sums[rows] = b.sum(axis=1)
+    with _row_buffer(M):
+        for rows, b, abs2 in _chord_tiles(xs, xr, M):
+            min2 = min(min2, float(abs2.min()))
+            if min2 <= CHORD_ARC_MIN ** 2:
+                continue
+            n = len(b)
+            # rho = Re[H conj(b)^2] / |b|^4 = Re[conj(H) b^2] / |b|^4, written
+            # contiguously: b *= rho is a third faster than with a strided rho
+            b_sq = np.multiply(b, b, out=b_sq_tile[:n])
+            b_sq *= conj_h_rows[rows]
+            abs4 = np.multiply(abs2, abs2, out=tmp_tile[:n])
+            rho = np.divide(b_sq.real, abs4, out=abs4)
+            b *= rho
+            b *= conj_w
+            row_sums[rows] = b.sum(axis=1)
     if min2 <= CHORD_ARC_MIN ** 2:
         raise GeometryError(
             f"chord-arc ratio {np.sqrt(min2):.4g} <= {CHORD_ARC_MIN}: "
@@ -208,7 +221,8 @@ def chord_arc_ratio(curve, M=None):
     M = M if M is not None else max(64, 4 * curve.K)
     xs = _values_on(curve.modes, M, 0.0)
     xr = _values_on(curve.modes, M, np.pi / M)
-    min2 = min(float(abs2.min()) for _, _, abs2 in _chord_tiles(xs, xr, M))
+    with _row_buffer(M):
+        min2 = min(float(abs2.min()) for _, _, abs2 in _chord_tiles(xs, xr, M))
     return float(np.sqrt(min2))
 
 

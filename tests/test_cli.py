@@ -111,12 +111,15 @@ class TestSimulate:
         {"snapshot_every": -0.25},
         {"frozen_coefficients": "no"},
         {"initial_data": {"kind": "single_mode", "k": 2, "amplitude": float("nan")}},
+        {"initial_data": {"kind": "random_decay", "amplitude": float("inf")}},
     ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
             "watch-modes-string", "t-end-inf", "snapshot-every-zero",
-            "snapshot-every-negative", "frozen-string", "amplitude-nan"])
+            "snapshot-every-negative", "frozen-string", "amplitude-nan",
+            "amplitude-inf"])
     def test_bad_config_value_exit_code(self, tmp_path, override):
-        # a bad value is a config error (exit 2), never an uncaught exception
+        # a bad value is a config error (exit 2), never an uncaught exception;
+        # the test settings also turn any RuntimeWarning on the way into an error
         code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
         assert code == EXIT_CONFIG
 
@@ -334,6 +337,36 @@ class TestExitCodeTable:
         assert (EXIT_OK, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_GEOMETRY,
                 EXIT_TENSION_DOMAIN, EXIT_STEP_REJECTED,
                 EXIT_INSUFFICIENT_DECAY) == (0, 1, 2, 3, 4, 5, 6)
+
+    def test_readme_table_lists_every_code(self):
+        from peskin2d import cli
+        codes = sorted(v for k, v in vars(cli).items() if k.startswith("EXIT_"))
+        table = [line.split("|")[1].strip() for line in
+                 (REPO / "README.md").read_text().splitlines()
+                 if line.startswith("| ") and line.split("|")[1].strip().isdigit()]
+        assert [int(c) for c in table] == codes == list(range(8))
+        assert sorted(code for _, code in cli._ERROR_CODES) == codes[2:]
+
+    @pytest.mark.parametrize("command", ["simulate", "linear-spectrum"])
+    def test_ill_conditioned_exit_code(self, tmp_path, monkeypatch, capsys, command):
+        from peskin2d import cli, linear
+        from peskin2d.cli import EXIT_ILL_CONDITIONED
+        from peskin2d.errors import IllConditioned
+
+        def ill_conditioned(*args, **kwargs):
+            raise IllConditioned("pair m=3: eigenvector condition 1e+13 exceeds 1e+12")
+
+        # simulate builds its propagators through linear._matrix_functions, where
+        # IllConditioned is raised; linear-spectrum never builds a propagator, so
+        # its one computation stands in for the raise site
+        monkeypatch.setattr(linear, "_matrix_functions", ill_conditioned)
+        monkeypatch.setattr(cli, "spectrum_report", ill_conditioned)
+        config = SIM_CONFIG if command == "simulate" else {"law": {"law": "cubic"}}
+        cfg = write_config(tmp_path / "c.json", config)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_ILL_CONDITIONED
+        assert err.startswith("error: pair m=3:") and "Traceback" not in err
 
     def test_step_rejected_exit_code(self, tmp_path):
         from peskin2d.cli import EXIT_STEP_REJECTED

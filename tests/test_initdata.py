@@ -174,7 +174,11 @@ class TestSpec:
         {"kind": "single_mode", "k": 2, "amplitude": float("inf")},
         {"kind": "random_decay", "amplitude": float("nan")},
         {"kind": "corner", "positions": [0.0], "strengths": [float("nan")]},
-    ], ids=["single-mode-inf", "random-decay-nan", "corner-nan"])
+        {"kind": "random_decay", "amplitude": float("inf")},
+        {"kind": "corner", "positions": [0.0], "strengths": [1.0],
+         "amplitude": [float("inf"), 0.0]},
+    ], ids=["single-mode-inf", "random-decay-nan", "corner-nan", "random-decay-inf",
+            "corner-pair-inf"])
     def test_non_finite_modes_rejected(self, spec):
         with pytest.raises(ConfigError, match="non-finite"):
             InitialDataSpec.from_dict(spec).make(8)

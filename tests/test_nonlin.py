@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,67 @@ class TestTileBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 2 * nonlin.TILE_ROWS * M * 16, f"peak {peak / 2 ** 10:.0f} KiB"
+
+    def test_warm_call_takes_no_default_ufunc_buffer(self, hookean_law):
+        # numpy's default 8192-element complex buffer alone is 128 KiB; under
+        # the one-row buffer a warm call peaks near 0.22 MiB, against 0.44 with it
+        K, M = 256, 1024
+        curve = random_curve(K, 5)
+        eval_nonlinearity(curve, hookean_law, M)
+        tracemalloc.start()
+        try:
+            eval_nonlinearity(curve, hookean_law, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.3 * 2 ** 20, f"peak {peak / 2 ** 10:.0f} KiB"
+
+
+@contextlib.contextmanager
+def caller_bufsize(size):
+    old = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
+
+
+class TestRowBuffer:
+    # the tile passes set numpy's ufunc buffer to one row and restore the caller's
+    @pytest.mark.parametrize("K, M", [(8, 18), (16, 100), (128, 512)])
+    def test_results_independent_of_caller_bufsize(self, cubic_law, K, M):
+        curve = random_curve(K, 6)
+        results = []
+        for size in (16, 8192, 2 ** 16):
+            with caller_bufsize(size):
+                ev = eval_nonlinearity(curve, cubic_law, M)
+                assert np.getbufsize() == size
+                ratio = chord_arc_ratio(curve, M)
+                assert np.getbufsize() == size
+            results.append((ev, ratio))
+        (ref, ref_ratio), *rest = results
+        for ev, ratio in rest:
+            assert np.array_equal(ev.n_modes, ref.n_modes)
+            assert np.array_equal(ev.grid_values, ref.grid_values)
+            assert ratio == ref_ratio
+
+    @pytest.mark.parametrize("scan", ["eval_nonlinearity", "chord_arc_ratio"])
+    def test_caller_bufsize_restored_when_tile_loop_raises(self, cubic_law, monkeypatch,
+                                                           scan):
+        real_tiles = nonlin._chord_tiles
+
+        def one_tile_then_fail(xs, xr, M):
+            yield next(real_tiles(xs, xr, M))
+            raise RuntimeError("tile failure")
+
+        monkeypatch.setattr(nonlin, "_chord_tiles", one_tile_then_fail)
+        curve = random_curve(16, 7)
+        call = {"eval_nonlinearity": lambda: eval_nonlinearity(curve, cubic_law, 100),
+                "chord_arc_ratio": lambda: chord_arc_ratio(curve, 100)}[scan]
+        with caller_bufsize(2 ** 16):
+            with pytest.raises(RuntimeError, match="tile failure"):
+                call()
+            assert np.getbufsize() == 2 ** 16
 
 
 class TestErrors:
