@@ -8,7 +8,7 @@ in the data size.  This script runs the benchmark and prints the block
 profile flattening out and the terminal circle parameters.
 """
 
-from peskin2d import cubic, make_corner, rescale_to_norm, split
+from peskin2d import corner_report, cubic, make_corner, rescale_to_norm, split
 from peskin2d.integrator import RunConfig, run
 from peskin2d.norms import block_l2_profile
 
@@ -16,7 +16,8 @@ print(__doc__)
 
 K = 64
 eps = 0.01
-curve, report = make_corner(K, [0.0, 1.9], [1.0, 0.7], eps)
+curve = make_corner(K, [0.0, 1.9], [1.0, 0.7], eps)
+report = corner_report(K, [0.0, 1.9], [1.0, 0.7], eps)
 curve = rescale_to_norm(curve, "s", eps)
 print(f"initial s-norm: {report['s_norm']:.4f} (rescaled to {eps})")
 print(f"retained Wiener mass: {report['w_norm']:.4f}, "

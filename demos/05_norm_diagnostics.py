@@ -20,7 +20,7 @@ from peskin2d.norms import (convolve_coeffs, n_norm, s_norm, wiener_snapshot,
 print(__doc__)
 
 K = 48
-curve, _ = make_corner(K, [0.5], [1.0], 0.01)
+curve = make_corner(K, [0.5], [1.0], 0.01)
 curve = rescale_to_norm(curve, "s", 0.01)
 traj = run(RunConfig(law=cubic(), initial=curve, K=K, M=192, dt=0.02,
                      t_end=6.0, snapshot_every=1.0))

@@ -17,8 +17,9 @@ from .curve import (CurveSplit, FourierCurve, PhysicalGrid, analyze,
 from .errors import (ConfigError, GeometryError, IllConditioned,
                      InsufficientDecay, PeskinError, StepRejected,
                      TensionDomainError)
-from .initdata import (InitialDataSpec, make_corner, make_polygonal,
-                       make_random_decay, make_single_mode, rescale_to_norm)
+from .initdata import (InitialDataSpec, corner_report, make_corner,
+                       make_polygonal, make_random_decay, make_single_mode,
+                       rescale_to_norm)
 from .integrator import RunConfig, Trajectory, default_dt, fit_decay, run, step
 from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel,
                       l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,

@@ -8,6 +8,7 @@ is exactly the dyadic block signature of a Lipschitz corner (block
 profile 2^{3n/2} |P_n Y| bounded but not decaying in n).
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +56,7 @@ def _corner_modes(K, positions, strengths, width):
     return modes
 
 
-def make_corner(K, positions, strengths, amplitude, width=1.0, check_geometry=True):
+def make_corner(K, positions, strengths, amplitude, width=1.0):
     """Corner-bearing perturbation from radial tents at the given angles.
 
     The tent shape is self-calibrated: a single unit-strength tent is
@@ -63,13 +64,7 @@ def make_corner(K, positions, strengths, amplitude, width=1.0, check_geometry=Tr
     spectrum at this K), so a one-tent call returns data with s-norm
     exactly equal to amplitude and multi-tent data lands within the
     triangle-inequality factor of it.  Halving amplitude halves every
-    norm exactly.
-
-    Returns (curve, report); the report records the s-norm and Wiener
-    snapshot at t = 0 and the estimated coefficient tail beyond K.  The
-    Wiener tail of tent data decays like 1/|k| and so grows with the
-    truncation horizon; the reported estimate makes that visible
-    instead of hiding it.
+    norm exactly.  Returns the curve; corner_report describes it.
     """
     positions = np.atleast_1d(np.asarray(positions, dtype=float))
     strengths = np.atleast_1d(np.asarray(strengths, dtype=float))
@@ -84,18 +79,28 @@ def make_corner(K, positions, strengths, amplitude, width=1.0, check_geometry=Tr
     scale = norms.s_norm(unit)
     modes = amplitude / scale * _corner_modes(K, positions, strengths, width)
     curve = FourierCurve(modes)
-    if check_geometry:
-        _require_chord_arc(curve)
-    report = {
+    _require_chord_arc(curve)
+    return curve
+
+
+def corner_report(K, positions, strengths, amplitude, width=1.0):
+    """s-norm and Wiener snapshot at t = 0 of make_corner's data, and its tail.
+
+    tail_w_estimate is the coefficient tail beyond K.  The Wiener tail of
+    tent data decays like 1/|k| and so grows with the truncation horizon;
+    the estimate makes that visible instead of hiding it.  It sums 2^20
+    terms, so it is computed only on request, never in a run.
+    """
+    modes = make_corner(K, positions, strengths, amplitude, width).modes
+    scale = norms.s_norm(_corner_modes(K, [0.0], [1.0], width))
+    return {
         "s_norm": norms.s_norm(modes),
         "w_norm": norms.wiener_snapshot(modes, 0.0),
-        "tail_w_estimate": _tent_tail_w(K, positions, strengths, width,
-                                        abs(amplitude) / scale),
+        "tail_w_estimate": _tent_tail_w(K, strengths, width, abs(amplitude) / scale),
     }
-    return curve, report
 
 
-def _tent_tail_w(K, positions, strengths, width, scale, horizon=2 ** 20):
+def _tent_tail_w(K, strengths, width, scale, horizon=2 ** 20):
     """Closed-form estimate of sum_{|k| > K} |a_k| |k| up to a fixed horizon.
 
     For tent spectra the summand behaves like 1/|k|, so the full tail
@@ -164,6 +169,16 @@ def _require_chord_arc(curve):
             f"generated curve fails the chord-arc check: min ratio {ratio:.4g}")
 
 
+def _target_norm(target):
+    """Parse a [name, value] rescale target: name 's' or 'w', value finite and > 0."""
+    if not (isinstance(target, (list, tuple)) and len(target) == 2
+            and target[0] in ("s", "w") and type(target[1]) in (int, float)
+            and 0 < target[1] <= sys.float_info.max):  # NaN and inf fail the range
+        raise ConfigError("target_norm must be [name, value] with name 's' or 'w' "
+                          f"and a finite value > 0, got {target!r}")
+    return target[0], float(target[1])
+
+
 @dataclass(frozen=True)
 class InitialDataSpec:
     """Declarative description of initial data, JSON-mappable.
@@ -184,13 +199,12 @@ class InitialDataSpec:
         kind = d.pop("kind")
         target = d.pop("target_norm", None)
         if target is not None:
-            target = (str(target[0]), float(target[1]))
+            target = _target_norm(target)
         return InitialDataSpec(kind=kind, params=d, target_norm=target)
 
     def make(self, K):
-        """Generate (curve, report) at truncation K."""
+        """Generate the curve at truncation K (corner data: corner_report describes it)."""
         p = dict(self.params)
-        report = {}
         try:
             if isinstance(p.get("amplitude"), (list, tuple)):
                 p["amplitude"] = complex(p["amplitude"][0], p["amplitude"][1])
@@ -203,12 +217,10 @@ class InitialDataSpec:
                 curve = make_random_decay(K, p.get("exponent", 2.0),
                                           p.get("seed", 0), p.get("amplitude", 1e-3))
             elif self.kind == "corner":
-                curve, report = make_corner(K, p["positions"], p["strengths"],
-                                            p.get("amplitude", 1e-2),
-                                            width=p.get("width", 1.0))
+                curve = make_corner(K, p["positions"], p["strengths"],
+                                    p.get("amplitude", 1e-2), width=p.get("width", 1.0))
             elif self.kind == "polygonal":
-                curve, report = make_polygonal(K, int(p["vertices"]),
-                                               p.get("amplitude", 1e-2))
+                curve = make_polygonal(K, int(p["vertices"]), p.get("amplitude", 1e-2))
             else:
                 raise ConfigError(f"unknown initial data kind {self.kind!r}")
         except KeyError as e:
@@ -223,4 +235,4 @@ class InitialDataSpec:
         if not p.get("allow_steady", False) and (sp.a0 != 0 or sp.a1 != 0):
             raise ConfigError(f"initial data {self.kind!r} has steady modes "
                               f"a0 = {sp.a0}, a1 = {sp.a1}; both must be 0")
-        return curve, report
+        return curve

@@ -219,7 +219,7 @@ def run(cfg):
         if curve.K != cfg.K:
             raise ConfigError("initial curve truncation differs from config K")
     else:
-        curve, _ = cfg.initial.make(cfg.K)
+        curve = cfg.initial.make(cfg.K)
 
     a1_ref = split(curve).a1
     dt = cfg.dt if cfg.dt is not None else default_dt(law, a1_ref, cfg.K)

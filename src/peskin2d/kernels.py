@@ -29,7 +29,9 @@ weights are symmetric in k), so each norm is even in alpha: the lattice
 is folded to the distinct |alpha|, and the shifted rows psi_n(s_j - a)
 for a in {alpha, alpha + h, alpha - h} come from one batched real
 inverse FFT of the k >= 0 half spectrum per block, in chunks capped at
-_CHUNK_SAMPLES samples (about 1 MiB of temporaries).  Against one
+_CHUNK_SAMPLES samples.  Every chunk writes its spectra, rows and
+temporaries into one cached scratch set (about 0.8 MiB, shared by all
+blocks), so a warm fit allocates nothing of a chunk's size.  Against one
 complex transform per field and alpha the fitted constants agree to
 about 1e-13 relative; l_tilde_dalpha_sharp to about 3e-11, because the
 central difference at h_rel = 1e-5 magnifies roundoff by about 1/h.
@@ -198,7 +200,7 @@ def l_tilde_kernel(n, s, alpha, min_form="clamped"):
 
 
 # Samples in one chunk of the batched lattice: three shifted rows of M
-# samples per alpha, so a chunk's real rows and half spectra stay near 1 MiB.
+# samples per alpha, so a chunk's rows and half spectra take 256 KiB each.
 _CHUNK_SAMPLES = 2 ** 15
 
 
@@ -246,6 +248,18 @@ def _clamped(a, n):
     return np.sign(a) * np.minimum(np.abs(a), 2.0 ** (-n))
 
 
+@lru_cache(maxsize=2)
+def _chunk_scratch(samples):
+    """Flat scratch for lattice chunks of up to samples = 3 x rows x M real samples.
+
+    Holds the half spectra (3 x rows x (M/2 + 1) complex, within samples
+    for M >= 2), the shifted rows (3 x rows x M) and one rows x M
+    temporary.  Every block n and grid M takes views of the same memory,
+    so two _l1_rows calls must not be interleaved.
+    """
+    return np.empty(samples, dtype=complex), np.empty(samples), np.empty(samples // 3)
+
+
 def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
     """L^1 norms over s of L_n, L~_n and d_alpha L~_n, one value per alpha.
 
@@ -256,7 +270,9 @@ def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
     psi_n(s_j - a) for a in {alpha, alpha + h, alpha - h}; they come from
     one batched real inverse FFT per chunk of _CHUNK_SAMPLES samples, and
     every norm is summed in real arithmetic: the half kernel is a scalar
-    factor per row.
+    factor per row.  Every temporary of a chunk's size lives in
+    _chunk_scratch, so a warm call allocates only per-alpha vectors and
+    the rows x |kp| phases.
     """
     alphas = np.asarray(alphas, dtype=float)
     if factors is None:
@@ -267,18 +283,32 @@ def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
     steps = h_rel * np.maximum(np.abs(alphas), 2.0 ** (-n))
     out = np.empty((3, alphas.size))
     rows = max(1, _CHUNK_SAMPLES // (3 * M))
+    spec_buf, shifted_buf, tmp_buf = _chunk_scratch(max(_CHUNK_SAMPLES, 3 * M))
+    spec_all = spec_buf[:3 * rows * (M // 2 + 1)].reshape(3, rows, M // 2 + 1)
+    spec_all.fill(0.0)  # only the kp columns are written below
+    shifted_all = shifted_buf[:3 * rows * M].reshape(3, rows, M)
+    tmp_all = tmp_buf[:rows * M].reshape(rows, M)
     for lo in range(0, alphas.size, rows):
         a, h, f = (x[lo:lo + rows] for x in (alphas, steps, factors))
+        spec, diff, tmp = spec_all[:, :a.size], shifted_all[:, :a.size], tmp_all[:a.size]
         shifts = np.stack([a, a + h, a - h])
-        diff = vals - _real_samples(kp, wp * np.exp(-1j * shifts[..., None] * kp), M)
+        phase = -1j * shifts[..., None] * kp
+        spec[..., kp] = np.multiply(wp, np.exp(phase, out=phase), out=phase)
+        np.fft.irfft(spec, n=M, norm="forward", out=diff)
+        np.subtract(vals, diff, out=diff)
         hk = half_kernel(shifts)
-        out[0, lo:lo + rows] = np.abs(hk[0]) * np.abs(diff[0]).sum(axis=-1)
-        out[1, lo:lo + rows] = np.abs(hk[0]) * np.abs(
-            diff[0] - f[:, None] * dvals).sum(axis=-1)
-        tilde = diff[1:] - _clamped(shifts[1:], n)[..., None] * dvals
-        re = hk[1].real[:, None] * tilde[0] - hk[2].real[:, None] * tilde[1]
-        im = hk[1].imag[:, None] * tilde[0] - hk[2].imag[:, None] * tilde[1]
-        out[2, lo:lo + rows] = np.hypot(re, im).sum(axis=-1) / (2.0 * h)
+        out[0, lo:lo + rows] = np.abs(hk[0]) * np.abs(diff[0], out=tmp).sum(axis=-1)
+        np.multiply(f[:, None], dvals, out=tmp)
+        np.subtract(diff[0], tmp, out=tmp)
+        out[1, lo:lo + rows] = np.abs(hk[0]) * np.abs(tmp, out=tmp).sum(axis=-1)
+        # tilde rows at alpha +- h, in place of diff[1:]
+        for tilde, clamp in zip(diff[1:], _clamped(shifts[1:], n)):
+            np.subtract(tilde, np.multiply(clamp[:, None], dvals, out=tmp), out=tilde)
+        re = np.multiply(hk[1].real[:, None], diff[1], out=diff[0])
+        re -= np.multiply(hk[2].real[:, None], diff[2], out=tmp)
+        im = np.multiply(hk[1].imag[:, None], diff[1], out=diff[1])
+        im -= np.multiply(hk[2].imag[:, None], diff[2], out=diff[2])
+        out[2, lo:lo + rows] = np.hypot(re, im, out=re).sum(axis=-1) / (2.0 * h)
     return out * (2.0 * np.pi / M)
 
 

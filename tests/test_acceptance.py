@@ -139,7 +139,7 @@ def corner_runs():
     K = 128
     runs = {}
     for eps, t_end in ((0.01, 20.0), (0.005, 8.0)):
-        curve, _ = make_corner(K, [0.0, 1.9], [1.0, 0.7], eps)
+        curve = make_corner(K, [0.0, 1.9], [1.0, 0.7], eps)
         curve = rescale_to_norm(curve, "s", eps)
         cfg = RunConfig(law=law, initial=curve, K=K, M=512, dt=0.01,
                         t_end=t_end, snapshot_every=0.25)

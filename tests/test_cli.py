@@ -13,6 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from peskin2d import initdata
 from peskin2d.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_GEOMETRY,
                           EXIT_INSUFFICIENT_DECAY, EXIT_OK,
                           EXIT_TENSION_DOMAIN, main)
@@ -112,16 +113,32 @@ class TestSimulate:
         {"frozen_coefficients": "no"},
         {"initial_data": {"kind": "single_mode", "k": 2, "amplitude": float("nan")}},
         {"initial_data": {"kind": "random_decay", "amplitude": float("inf")}},
+        *({"initial_data": dict(SIM_CONFIG["initial_data"], target_norm=target)}
+          for target in (["s", float("inf")], "s", ["s"], ["s", -0.01], ["s", 0.0])),
     ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
             "watch-modes-string", "t-end-inf", "snapshot-every-zero",
             "snapshot-every-negative", "frozen-string", "amplitude-nan",
-            "amplitude-inf"])
+            "amplitude-inf", "target-norm-inf", "target-norm-bare-name",
+            "target-norm-one-item", "target-norm-negative", "target-norm-zero"])
     def test_bad_config_value_exit_code(self, tmp_path, override):
         # a bad value is a config error (exit 2), never an uncaught exception;
         # the test settings also turn any RuntimeWarning on the way into an error
         code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("initial", [
+        {"kind": "corner", "positions": [0.0, 1.9], "strengths": [1.0, 0.7],
+         "amplitude": 1e-3, "target_norm": ["s", 1e-3]},
+        {"kind": "polygonal", "vertices": 3, "amplitude": 1e-3},
+    ], ids=["corner", "polygonal"])
+    def test_run_never_computes_initial_data_report(self, tmp_path, monkeypatch, initial):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the initial-data report was computed")
+        monkeypatch.setattr(initdata, "corner_report", refuse)
+        monkeypatch.setattr(initdata, "_tent_tail_w", refuse)
+        code, _ = simulate(tmp_path, dict(SIM_CONFIG, initial_data=initial, t_end=0.5))
+        assert code == EXIT_OK
 
     def test_deterministic_outputs(self, tmp_path):
         config = dict(SIM_CONFIG)

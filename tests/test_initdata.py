@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from peskin2d import (ConfigError, FourierCurve, GeometryError,
-                      InitialDataSpec, analyze, make_corner, make_polygonal, make_random_decay,
+                      InitialDataSpec, analyze, corner_report, make_corner,
+                      make_polygonal, make_random_decay,
                       make_single_mode, rescale_to_norm, s_norm, split,
                       synthesize, wiener_snapshot)
 from peskin2d import initdata
@@ -39,7 +40,7 @@ class TestCorner:
         # the generated coefficients are the calibrated tent spectrum; the
         # analyze() oracle must reproduce them from physical samples
         K = 64
-        curve, _ = make_corner(K, [0.0], [1.0], 1e-2)
+        curve = make_corner(K, [0.0], [1.0], 1e-2)
         back = analyze(synthesize(curve, 512), K)
         assert np.abs(back.modes - curve.modes).max() < 1e-10
         # shape check against the raw closed form (common rescale factor)
@@ -51,30 +52,31 @@ class TestCorner:
         assert np.abs(factor - factor[0]).max() < 1e-12 * abs(factor[0])
 
     def test_single_tent_snorm_is_amplitude(self):
-        curve, report = make_corner(128, [0.0], [1.0], 1e-2)
+        curve = make_corner(128, [0.0], [1.0], 1e-2)
+        report = corner_report(128, [0.0], [1.0], 1e-2)
         assert report["s_norm"] == pytest.approx(1e-2, rel=1e-12)
         assert s_norm(curve.modes) == pytest.approx(1e-2, rel=1e-12)
 
     def test_multi_tent_snorm_within_factor_two(self):
-        curve, report = make_corner(128, [0.0, np.pi], [1.0, 1.0], 1e-2)
+        report = corner_report(128, [0.0, np.pi], [1.0, 1.0], 1e-2)
         assert 0.5e-2 <= report["s_norm"] / 2.0 <= 2e-2  # strengths sum to 2
 
     def test_corner_block_signature(self):
         # bounded non-decaying block profile over n = 2..6
         K = 128
-        curve, _ = make_corner(K, [0.0, np.pi], [1.0, 1.0], 1e-2)
+        curve = make_corner(K, [0.0, np.pi], [1.0, 1.0], 1e-2)
         prof = block_l2_profile(split(curve).y_modes)[2:7]
         assert prof.min() > 0
         assert prof.max() / prof.min() <= 4.0
 
     def test_linearity_in_amplitude(self):
-        c1, _ = make_corner(64, [0.5], [1.0], 1e-2)
-        c2, _ = make_corner(64, [0.5], [1.0], 0.5e-2)
+        c1 = make_corner(64, [0.5], [1.0], 1e-2)
+        c2 = make_corner(64, [0.5], [1.0], 0.5e-2)
         assert np.abs(c1.modes - 2.0 * c2.modes).max() < 1e-18
         assert s_norm(c2.modes) == pytest.approx(0.5 * s_norm(c1.modes), rel=1e-12)
 
     def test_zero_steady_components(self):
-        curve, _ = make_corner(64, [1.0, 2.0], [1.0, -0.5], 1e-2)
+        curve = make_corner(64, [1.0, 2.0], [1.0, -0.5], 1e-2)
         sp = split(curve)
         assert sp.a0 == 0 and sp.a1 == 0
 
@@ -84,11 +86,17 @@ class TestCorner:
             make_corner(64, [0.0], [-1.0], 16.0, width=0.5)
 
     def test_tail_report_positive(self):
-        _, report = make_corner(64, [0.0], [1.0], 1e-2)
+        report = corner_report(64, [0.0], [1.0], 1e-2)
         assert report["tail_w_estimate"] > 0
         # corner spectra lose Wiener mass only logarithmically: the tail
         # beyond K is a visible fraction of the retained mass
         assert report["tail_w_estimate"] > 1e-6 * report["w_norm"]
+
+    def test_report_describes_the_curve(self):
+        curve = make_corner(64, [0.0, 1.9], [1.0, 0.7], 1e-2)
+        report = corner_report(64, [0.0, 1.9], [1.0, 0.7], 1e-2)
+        assert report["s_norm"] == s_norm(curve.modes)
+        assert report["w_norm"] == wiener_snapshot(curve.modes, 0.0)
 
     def test_rejects_duplicate_positions(self):
         with pytest.raises(ConfigError):
@@ -97,7 +105,9 @@ class TestCorner:
 
 class TestPolygonal:
     def test_basic(self):
-        curve, report = make_polygonal(64, 5, 1e-2)
+        curve = make_polygonal(64, 5, 1e-2)
+        report = corner_report(64, 2.0 * np.pi * np.arange(5) / 5, np.ones(5), 1e-2,
+                               width=np.pi / 5)
         sp = split(curve)
         assert sp.a0 == 0 and sp.a1 == 0
         assert report["s_norm"] > 0
@@ -139,7 +149,7 @@ class TestRandomDecay:
 class TestRescale:
     @pytest.mark.parametrize("name", ["s", "w"])
     def test_exact_and_idempotent(self, name):
-        curve, _ = make_corner(64, [0.0, 2.0], [1.0, 0.7], 3e-2)
+        curve = make_corner(64, [0.0, 2.0], [1.0, 0.7], 3e-2)
         scaled = rescale_to_norm(curve, name, 1e-2)
         measure = s_norm if name == "s" else lambda m: wiener_snapshot(m, 0.0)
         assert measure(scaled.modes) == pytest.approx(1e-2, rel=1e-10)
@@ -157,13 +167,13 @@ class TestSpec:
         spec = InitialDataSpec.from_dict({
             "kind": "corner", "positions": [0.0, 1.9], "strengths": [1.0, 0.7],
             "amplitude": 0.02, "target_norm": ["s", 0.01]})
-        curve, report = spec.make(64)
+        curve = spec.make(64)
         assert s_norm(split(curve).y_modes) == pytest.approx(0.01, rel=1e-10)
 
     def test_single_mode_spec(self):
         spec = InitialDataSpec.from_dict(
             {"kind": "single_mode", "k": 2, "amplitude": [1e-3, 0.0]})
-        curve, _ = spec.make(16)
+        curve = spec.make(16)
         assert curve.mode(2) == 1e-3
 
     def test_unknown_kind(self):

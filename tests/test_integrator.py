@@ -141,7 +141,7 @@ class TestRun:
         from peskin2d.linear import spectrum_report, mode2_system
         from peskin2d.tension import linear_coefficients
         K = 32
-        curve, _ = make_corner(K, [0.0, 1.9], [1.0, 0.7], 0.01)
+        curve = make_corner(K, [0.0, 1.9], [1.0, 0.7], 0.01)
         curve = rescale_to_norm(curve, "s", 0.01)
         traj = run(config(cubic_law, curve, dt=0.02, t_end=10.0,
                           snapshot_every=0.5))
@@ -248,7 +248,7 @@ class TestFitDecay:
         K = 32
         limits = {}
         for eps in (1e-2, 5e-3):
-            curve, _ = make_corner(K, [0.0, 1.9], [1.0, 0.7], eps)
+            curve = make_corner(K, [0.0, 1.9], [1.0, 0.7], eps)
             traj = run(config(cubic_law, curve, dt=0.02, t_end=8.0,
                               snapshot_every=0.5))
             limits[eps] = abs(traj.a0_limit)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -279,6 +281,19 @@ class TestBatchedLattice:
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-10, abs=0.0), key
         assert got["l_tilde_bound_literal"] == got["l_tilde_bound"]
+
+    def test_warm_fit_allocates_nothing_large(self):
+        # every chunk temporary lives in the cached scratch; a chunk's
+        # shifted rows alone are 256 KiB
+        args = (range(7), dyadic_alphas(4), 8)
+        fit_kernel_bounds(*args)
+        tracemalloc.start()
+        try:
+            fit_kernel_bounds(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * 2 ** 20, f"peak {peak / 2 ** 10:.0f} KiB"
 
     def test_literal_constant_uses_positive_alphas_only(self):
         # with only negative offsets the literal form has no entries
