@@ -28,8 +28,8 @@ import numpy as np
 
 from . import __version__
 from .curve import FourierCurve, from_json_dict, split, to_json_dict
-from .errors import (ConfigError, GeometryError, IllConditioned, InsufficientDecay,
-                     PeskinError, StepRejected, TensionDomainError, config_values)
+from .errors import (REQUIRED, ConfigError, GeometryError, IllConditioned, InsufficientDecay,
+                     PeskinError, StepRejected, TensionDomainError, read_config)
 from .integrator import RunConfig, Trajectory, fit_decay, run
 from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
                       l_kernel, psi_l1_norm, pv_quadrature_ik, pv_quadrature_jk,
@@ -65,15 +65,8 @@ def _load_json(path):
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     if not isinstance(config, dict):
-        raise ConfigError(f"config {path} must be a JSON object, "
-                          f"got {type(config).__name__}")
+        raise ConfigError(f"config {path} must be a JSON object, got {type(config).__name__}")
     return config
-
-
-def _at_least(name, value, lo):
-    if value < lo:
-        raise ConfigError(f"{name} must be >= {lo}, got {value}")
-    return value
 
 
 def _sha256(path):
@@ -120,6 +113,14 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # subcommands
 
+_SPECTRUM_SCHEMA = {"law": ("object", {"law": "hookean"}), "a1": ("pair", 0j),
+                    "m_max": ("int", 32, 3)}
+_KERNELS_SCHEMA = {"k_max": ("int", 64, 0), "M": ("int", 1024), "n_max": ("int", 6, 0),
+                   "oversample": ("int", 8, 2), "alphas_per_decade": ("int", 4, 1)}
+_LINEARIZATION_SCHEMA = {"law": ("object", REQUIRED), "a1": ("pair", 0j),
+                         "k_max": ("int", 12, 2), "M": ("int", None),
+                         "delta": ("positive", 1e-6)}
+
 
 def _cmd_simulate(args):
     config = _load_json(args.config)
@@ -165,13 +166,8 @@ def _cmd_simulate(args):
 
 def _cmd_linear_spectrum(args):
     config = _load_json(args.config)
-    with config_values():
-        law = law_from_config(config.get("law", {"law": "hookean"}))
-        a1 = complex(*config.get("a1", [0.0, 0.0]))
-        m_max = _at_least("m_max", int(config.get("m_max", 32)), 3)
-    if not np.isfinite(a1):
-        raise ConfigError(f"a1 must be finite, got {a1}")
-    rows = spectrum_report(law, a1, m_max)
+    c = read_config(config, _SPECTRUM_SCHEMA, "linear-spectrum config")
+    rows = spectrum_report(law_from_config(c["law"]), c["a1"], c["m_max"])
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "spectrum.csv"),
                ["m", "lambda1", "lambda2", "decay_rate"],
@@ -182,12 +178,9 @@ def _cmd_linear_spectrum(args):
 
 def _cmd_verify_kernels(args):
     config = _load_json(args.config) if args.config else {}
-    with config_values():
-        k_max = _at_least("k_max", int(config.get("k_max", 64)), 0)
-        M = int(config.get("M", 1024))
-        n_max = _at_least("n_max", int(config.get("n_max", 6)), 0)
-        oversample = int(config.get("oversample", 8))
-        npd = _at_least("alphas_per_decade", int(config.get("alphas_per_decade", 4)), 1)
+    c = read_config(config, _KERNELS_SCHEMA, "verify-kernels config")
+    k_max, M, n_max = c["k_max"], c["M"], c["n_max"]
+    oversample, npd = c["oversample"], c["alphas_per_decade"]
 
     # np.max keeps a NaN error; the builtin max would drop it
     ks = range(-k_max, k_max + 1)
@@ -253,6 +246,8 @@ def _load_trajectory(traj_dir):
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed trajectory table {table_path}: "
                           f"{type(e).__name__}: {e}") from e
+    if not np.all(np.isfinite([list(row.values()) for row in table])):
+        raise ConfigError(f"malformed trajectory table {table_path}: a non-finite value")
     snaps = []
     for name in sorted(os.listdir(traj_dir)):
         if name.startswith("snapshot_") and name.endswith(".json"):
@@ -260,7 +255,7 @@ def _load_trajectory(traj_dir):
             try:
                 with open(path) as fh:
                     snaps.append(from_json_dict(json.load(fh)))
-            except (OSError, KeyError, TypeError, ValueError) as e:
+            except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"malformed snapshot {path}: "
                                   f"{type(e).__name__}: {e}") from e
     return Trajectory(snapshots=snaps, table=table, watch_modes=())
@@ -296,15 +291,10 @@ def _cmd_fit_decay(args):
 
 def _cmd_verify_linearization(args):
     config = _load_json(args.config)
-    with config_values():
-        law = law_from_config(config["law"])
-        a1 = complex(*config.get("a1", [0.0, 0.0]))
-        k_check = _at_least("k_max", int(config.get("k_max", 12)), 2)
-        K = k_check + 2
-        M = int(config.get("M", max(8 * K, 160)))
-        delta = float(config.get("delta", 1e-6))
-    if not (np.isfinite(delta) and delta > 0):
-        raise ConfigError(f"delta must be positive and finite, got {delta!r}")
+    c = read_config(config, _LINEARIZATION_SCHEMA, "verify-linearization config")
+    law, a1, k_check, delta = law_from_config(c["law"]), c["a1"], c["k_max"], c["delta"]
+    K = k_check + 2
+    M = c["M"] if c["M"] is not None else max(8 * K, 160)
     bad = law.positivity_failures()
     out = _ensure_out(args.out)
     if bad.size:

@@ -227,9 +227,10 @@ def to_json_dict(curve):
 
 def from_json_dict(d):
     modes = np.array([complex(re, im) for re, im in d["modes"]])
-    if modes.size != 2 * int(d["K"]) + 1:
-        raise ConfigError("snapshot modes length inconsistent with K")
-    return FourierCurve(modes, float(d["time"]))
+    time = float(d["time"])
+    if modes.size != 2 * int(d["K"]) + 1 or not np.all(np.isfinite([*modes, time])):
+        raise ConfigError("snapshot modes length inconsistent with K, or a non-finite value")
+    return FourierCurve(modes, time)
 
 
 def grid_to_csv(grid, path):

@@ -8,14 +8,13 @@ is exactly the dyadic block signature of a Lipschitz corner (block
 profile 2^{3n/2} |P_n Y| bounded but not decaying in n).
 """
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import norms
 from .curve import FourierCurve, split, wavenumbers
-from .errors import ConfigError, GeometryError
+from .errors import REQUIRED, ConfigError, GeometryError, read_config
 from .nonlin import CHORD_ARC_MIN, chord_arc_ratio
 
 
@@ -169,14 +168,16 @@ def _require_chord_arc(curve):
             f"generated curve fails the chord-arc check: min ratio {ratio:.4g}")
 
 
-def _target_norm(target):
-    """Parse a [name, value] rescale target: name 's' or 'w', value finite and > 0."""
-    if not (isinstance(target, (list, tuple)) and len(target) == 2
-            and target[0] in ("s", "w") and type(target[1]) in (int, float)
-            and 0 < target[1] <= sys.float_info.max):  # NaN and inf fail the range
-        raise ConfigError("target_norm must be [name, value] with name 's' or 'w' "
-                          f"and a finite value > 0, got {target!r}")
-    return target[0], float(target[1])
+# the keys of each kind are the arguments of make_<kind> after K, and target_norm
+_SPEC_SCHEMAS = {kind: {**keys, "target_norm": ("target", None)} for kind, keys in {
+    "single_mode": {"k": ("int", REQUIRED), "amplitude": ("amplitude", 1e-3),
+                    "allow_steady": ("bool", False)},
+    "random_decay": {"exponent": ("real", 2.0), "seed": ("int", 0, 0),
+                     "amplitude": ("amplitude", 1e-3)},
+    "corner": {"positions": ("reals", REQUIRED), "strengths": ("reals", REQUIRED),
+               "amplitude": ("amplitude", 1e-2), "width": ("real", 1.0)},
+    "polygonal": {"vertices": ("int", REQUIRED), "amplitude": ("amplitude", 1e-2)},
+}.items()}
 
 
 @dataclass(frozen=True)
@@ -184,7 +185,7 @@ class InitialDataSpec:
     """Declarative description of initial data, JSON-mappable.
 
     kind: single_mode | random_decay | corner | polygonal
-    params: generator arguments (see make_*)
+    params: arguments of make_<kind> after K
     target_norm: optional (name, value) rescale applied after generation
     """
     kind: str
@@ -193,46 +194,20 @@ class InitialDataSpec:
 
     @staticmethod
     def from_dict(d):
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ConfigError(f"initial data spec must be a mapping with 'kind', got {d!r}")
-        d = dict(d)
-        kind = d.pop("kind")
-        target = d.pop("target_norm", None)
-        if target is not None:
-            target = _target_norm(target)
-        return InitialDataSpec(kind=kind, params=d, target_norm=target)
+        params = read_config(d, _SPEC_SCHEMAS, "initial data", dispatch="kind")
+        kind, target = params.pop("kind"), params.pop("target_norm")
+        return InitialDataSpec(kind=kind, params=params, target_norm=target)
 
     def make(self, K):
         """Generate the curve at truncation K (corner data: corner_report describes it)."""
-        p = dict(self.params)
-        try:
-            if isinstance(p.get("amplitude"), (list, tuple)):
-                p["amplitude"] = complex(p["amplitude"][0], p["amplitude"][1])
-            if not np.isfinite(p.get("amplitude", 0.0)):  # before a generator's inf * 0
-                raise ConfigError(f"initial data {self.kind!r} has a non-finite amplitude")
-            if self.kind == "single_mode":
-                curve = make_single_mode(K, int(p["k"]), p.get("amplitude", 1e-3),
-                                         allow_steady=bool(p.get("allow_steady", False)))
-            elif self.kind == "random_decay":
-                curve = make_random_decay(K, p.get("exponent", 2.0),
-                                          p.get("seed", 0), p.get("amplitude", 1e-3))
-            elif self.kind == "corner":
-                curve = make_corner(K, p["positions"], p["strengths"],
-                                    p.get("amplitude", 1e-2), width=p.get("width", 1.0))
-            elif self.kind == "polygonal":
-                curve = make_polygonal(K, int(p["vertices"]), p.get("amplitude", 1e-2))
-            else:
-                raise ConfigError(f"unknown initial data kind {self.kind!r}")
-        except KeyError as e:
-            raise ConfigError(f"initial data {self.kind!r} needs the key {e}") from e
-        except (IndexError, TypeError, ValueError) as e:
-            raise ConfigError(f"invalid initial data {self.kind!r}: {e}") from e
+        # looked up per call, so a replaced make_<kind> takes effect
+        curve = globals()[f"make_{self.kind}"](K, **self.params)
         if self.target_norm is not None:
             curve = rescale_to_norm(curve, *self.target_norm)
         if not np.all(np.isfinite(curve.modes)):
             raise ConfigError(f"initial data {self.kind!r} has non-finite modes")
         sp = split(curve)
-        if not p.get("allow_steady", False) and (sp.a0 != 0 or sp.a1 != 0):
+        if not self.params.get("allow_steady", False) and (sp.a0 != 0 or sp.a1 != 0):
             raise ConfigError(f"initial data {self.kind!r} has steady modes "
                               f"a0 = {sp.a0}, a1 = {sp.a1}; both must be 0")
         return curve

@@ -11,11 +11,12 @@ combination A + |1 + a1| * B equals tau'(|1 + a1|) and controls every
 linear decay rate, so it must stay positive.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TensionDomainError
+from .errors import ConfigError, TensionDomainError, read_config
 
 DEFAULT_INTERVAL = (0.5, 2.0)
 
@@ -121,6 +122,13 @@ _BUILDERS = {
 }
 
 
+_LAW_SCHEMAS = {
+    kind: {**{p: ("real", inspect.signature(fn).parameters[p].default) for p in names},
+           "r_min": ("positive", DEFAULT_INTERVAL[0]),
+           "r_max": ("positive", DEFAULT_INTERVAL[1]), "check_positivity": ("bool", True)}
+    for kind, (fn, names) in _BUILDERS.items()}
+
+
 def law_from_config(cfg):
     """Build a law from a JSON-style mapping, e.g. {"law": "cubic", "c": 1.0}.
 
@@ -128,15 +136,8 @@ def law_from_config(cfg):
     check_positivity=false builds a diagnostic law without the
     positivity gate (its failures are then reported, not hidden).
     """
-    if not isinstance(cfg, dict) or "law" not in cfg:
-        raise ConfigError(f"law config must be a mapping with a 'law' key, got {cfg!r}")
-    kind = cfg["law"]
-    if kind not in _BUILDERS:
-        raise ConfigError(f"unknown tension law {kind!r}")
-    fn, pnames = _BUILDERS[kind]
-    kw = {k: cfg[k] for k in ("r_min", "r_max", "check_positivity") if k in cfg}
-    params = {p: cfg[p] for p in pnames if p in cfg}
-    return fn(**params, **kw)
+    values = read_config(cfg, _LAW_SCHEMAS, "law", dispatch="law")
+    return _BUILDERS[values.pop("law")][0](**values)
 
 
 def small_t(law, r):

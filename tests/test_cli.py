@@ -115,12 +115,32 @@ class TestSimulate:
         {"initial_data": {"kind": "random_decay", "amplitude": float("inf")}},
         *({"initial_data": dict(SIM_CONFIG["initial_data"], target_norm=target)}
           for target in (["s", float("inf")], "s", ["s"], ["s", -0.01], ["s", 0.0])),
+        # read as something else before the one config reader
+        {"K": 8.7},
+        {"K": "8"},
+        {"t_end": "0.5"},
+        {"t_end": True},
+        {"law": {"law": "cubic", "C": 2}},
+        {"law": {"law": "hookean", "zz": 1}},
+        {"law": {"law": "hookean", "k0": float("nan")}},
+        {"initial_data": dict(SIM_CONFIG["initial_data"], zz=1)},
+        {"initial_data": dict(SIM_CONFIG["initial_data"], k=2.9)},
+        {"initial_data": {"kind": "random_decay", "seed": 1.5}},
+        {"initial_data": {"kind": "random_decay", "seed": True}},
+        {"initial_data": {"kind": "polygonal", "vertices": 2.5}},
+        {"initial_data": {"kind": "single_mode", "k": 1, "allow_steady": "no"}},
+        {"initial_data": {"kind": "corner", "positions": [0.0],
+                          "strengths": [float("inf")]}},
     ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
             "watch-modes-string", "t-end-inf", "snapshot-every-zero",
             "snapshot-every-negative", "frozen-string", "amplitude-nan",
             "amplitude-inf", "target-norm-inf", "target-norm-bare-name",
-            "target-norm-one-item", "target-norm-negative", "target-norm-zero"])
+            "target-norm-one-item", "target-norm-negative", "target-norm-zero",
+            "K-fraction", "K-string", "t-end-string", "t-end-bool",
+            "law-key-typo", "law-unknown-key", "law-k0-nan", "initial-unknown-key",
+            "mode-fraction", "seed-fraction", "seed-bool", "vertices-fraction",
+            "allow-steady-string", "strengths-inf"])
     def test_bad_config_value_exit_code(self, tmp_path, override):
         # a bad value is a config error (exit 2), never an uncaught exception;
         # the test settings also turn any RuntimeWarning on the way into an error
@@ -229,7 +249,10 @@ class TestSpectrumAndKernels:
         {"law": {"law": "cubic", "c": "x"}},
         {"a1": 3},
         {"a1": [float("nan"), 0.0]},
-    ], ids=["m-max-string", "m-max-2", "law-c-string", "a1-not-pair", "a1-nan"])
+        {"m_max": 5.9},
+        {"zz": 1},
+    ], ids=["m-max-string", "m-max-2", "law-c-string", "a1-not-pair", "a1-nan",
+            "m-max-fraction", "unknown-key"])
     def test_linear_spectrum_bad_config_exit_code(self, tmp_path, config):
         cfg = write_config(tmp_path / "c.json", config)
         assert main(["linear-spectrum", "--config", cfg,
@@ -241,8 +264,10 @@ class TestSpectrumAndKernels:
         {"k_max": "x"},
         {"k_max": -5},
         [1, 2],
+        {"n_max": 1.5},
+        {"zz": 1},
     ], ids=["n-max-negative", "alphas-per-decade-0", "k-max-string",
-            "k-max-negative", "not-an-object"])
+            "k-max-negative", "not-an-object", "n-max-fraction", "unknown-key"])
     def test_verify_kernels_bad_config_exit_code(self, tmp_path, config):
         # k_max = -5 would check no identity and pass with error 0.0
         cfg = write_config(tmp_path / "k.json", config)
@@ -311,8 +336,11 @@ class TestVerifyLinearization:
         {"law": {"law": "hookean"}, "k_max": 0},
         {"law": {"law": "hookean"}, "delta": 0},
         {"law": {"law": "hookean"}, "delta": float("nan")},
+        {"law": {"law": "hookean"}, "delta": "1e-6"},
+        {"law": {"law": "hookean"}, "zz": 1},
+        {"law": {"law": "hookean"}, "a1": [float("nan"), 0.0]},
     ], ids=["no-law", "k-max-string", "k-max-negative", "k-max-0",
-            "delta-zero", "delta-nan"])
+            "delta-zero", "delta-nan", "delta-string", "unknown-key", "a1-nan"])
     def test_bad_config_exit_code(self, tmp_path, config):
         # k_max = 0 checks no mode, and delta = 0 makes the Jacobian NaN:
         # either would pass on nothing
@@ -363,6 +391,27 @@ class TestExitCodeTable:
                  if line.startswith("| ") and line.split("|")[1].strip().isdigit()]
         assert [int(c) for c in table] == codes == list(range(8))
         assert sorted(code for _, code in cli._ERROR_CODES) == codes[2:]
+
+    def test_readme_lists_every_config_key(self):
+        # one README key table per command, law and initial-data kind, with
+        # exactly the keys of its schema
+        from peskin2d import cli, initdata, integrator, tension
+        schemas = {"`simulate`": integrator._RUN_SCHEMA,
+                   "`linear-spectrum`": cli._SPECTRUM_SCHEMA,
+                   "`verify-kernels`": cli._KERNELS_SCHEMA,
+                   "`verify-linearization`": cli._LINEARIZATION_SCHEMA}
+        schemas.update({f"law `{kind}`": ["law", *schema]
+                        for kind, schema in tension._LAW_SCHEMAS.items()})
+        schemas.update({f"initial data `{kind}`": ["kind", *schema]
+                        for kind, schema in initdata._SPEC_SCHEMAS.items()})
+        tables, heading = {}, None
+        for line in (REPO / "README.md").read_text().splitlines():
+            if line.startswith("#"):
+                heading = line.lstrip("#").strip()
+            elif line.startswith("| `"):
+                tables.setdefault(heading, set()).add(line.split("`")[1])
+        for heading, schema in schemas.items():
+            assert tables.get(heading) == set(schema), heading
 
     @pytest.mark.parametrize("command", ["simulate", "linear-spectrum"])
     def test_ill_conditioned_exit_code(self, tmp_path, monkeypatch, capsys, command):
