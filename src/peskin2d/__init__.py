@@ -20,7 +20,8 @@ from .errors import (ConfigError, GeometryError, IllConditioned,
 from .initdata import (InitialDataSpec, corner_report, make_corner,
                        make_polygonal, make_random_decay, make_single_mode,
                        rescale_to_norm)
-from .integrator import RunConfig, Trajectory, default_dt, fit_decay, run, step
+from .integrator import (RunConfig, Trajectory, default_dt, fit_decay, iter_run,
+                         run, step)
 from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel,
                       l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
                       pv_quadrature_jk)

@@ -19,6 +19,7 @@ contract:
 
 import argparse
 import csv
+import fnmatch
 import hashlib
 import json
 import os
@@ -30,7 +31,7 @@ from . import __version__
 from .curve import FourierCurve, from_json_dict, split, to_json_dict
 from .errors import (REQUIRED, ConfigError, GeometryError, IllConditioned, InsufficientDecay,
                      PeskinError, StepRejected, TensionDomainError, read_config)
-from .integrator import RunConfig, Trajectory, fit_decay, run
+from .integrator import RunConfig, Trajectory, fit_decay, iter_run
 from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
                       l_kernel, psi_l1_norm, pv_quadrature_ik, pv_quadrature_jk,
                       phi_weight)
@@ -138,29 +139,31 @@ def _cmd_simulate(args):
             raise ConfigError(f"--watch-modes is not a comma-separated integer list: {e}") from e
     cfg = RunConfig.from_dict(config)
     out = _ensure_out(args.out)
-    traj = run(cfg)
-
-    names = []
-    for i, snap in enumerate(traj.snapshots):
-        name = f"snapshot_{i:06d}.json"
-        with open(os.path.join(out, name), "w") as fh:
-            json.dump(to_json_dict(snap), fh)
-            fh.write("\n")
-        names.append(name)
+    for name in os.listdir(out):     # an earlier run's files: a directory holds one run
+        if name in ("manifest.json", "summary.json") or fnmatch.fnmatch(name, "snapshot_*.json"):
+            os.remove(os.path.join(out, name))
     header = ["t"] + [f"abs_a{k}" for k in cfg.watch_modes] \
         + ["l2_Y", "linf_Yprime", "a0_re", "a0_im", "a1_re", "a1_im"]
-    rows = [[row[h] for h in header] for row in traj.table]
-    _write_csv(os.path.join(out, "diagnostics.csv"), header, rows)
-    names.append("diagnostics.csv")
+    table = []
 
+    def rows():
+        for i, (curve, row) in enumerate(iter_run(cfg)):
+            with open(os.path.join(out, f"snapshot_{i:06d}.json"), "w") as fh:
+                fh.write(json.dumps(to_json_dict(curve)) + "\n")
+            table.append(row)
+            yield [row[h] for h in header]
+
+    # written as the run yields them: a failed run leaves the snapshots and rows it reached
+    _write_csv(os.path.join(out, "diagnostics.csv"), header, rows())
+    traj = Trajectory(snapshots=[], table=table).fit()
     summary = {"fit_rate": traj.fit_rate,
                "a0_limit": None if traj.a0_limit is None else
                [traj.a0_limit.real, traj.a0_limit.imag],
                "a1_limit": None if traj.a1_limit is None else
                [traj.a1_limit.real, traj.a1_limit.imag]}
     _write_json(os.path.join(out, "summary.json"), summary)
-    names.append("summary.json")
-    _write_manifest(out, "simulate", config, names)
+    names = [f"snapshot_{i:06d}.json" for i in range(len(table))]
+    _write_manifest(out, "simulate", config, names + ["diagnostics.csv", "summary.json"])
     return EXIT_OK
 
 
@@ -258,7 +261,9 @@ def _load_trajectory(traj_dir):
             except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
                 raise ConfigError(f"malformed snapshot {path}: "
                                   f"{type(e).__name__}: {e}") from e
-    return Trajectory(snapshots=snaps, table=table, watch_modes=())
+    if [snap.time for snap in snaps] != [row["t"] for row in table]:
+        raise ConfigError(f"trajectory {traj_dir}: snapshot times do not match the t column")
+    return Trajectory(snapshots=snaps, table=table)
 
 
 def _cmd_measure_norms(args):

@@ -52,9 +52,6 @@ class FourierCurve:
             return 0.0 + 0.0j
         return complex(self.modes[self.K + k])
 
-    def with_modes(self, modes, time=None):
-        return FourierCurve(modes, self.time if time is None else time)
-
 
 @dataclass(frozen=True)
 class CurveSplit:

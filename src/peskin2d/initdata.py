@@ -157,7 +157,7 @@ def rescale_to_norm(curve, norm_name, value):
         raise ConfigError(f"unknown target norm {norm_name!r} (use 's' or 'w')")
     if current == 0.0:
         raise ConfigError("cannot rescale identically zero data")
-    return curve.with_modes(curve.modes * (value / current))
+    return FourierCurve(curve.modes * (value / current), curve.time)
 
 
 def _require_chord_arc(curve):

@@ -20,9 +20,11 @@ a diagonal G gives exactly the scalar exponential update.
 
 Under the frozen-coefficient policy (default) the propagators are built
 once from a1(0) and the coefficient drift lives inside the residual; the
-refreshed policy rebuilds them from a1(t) every step.
+refreshed policy rebuilds them from a1(t) every step.  iter_run yields
+each snapshot as it is taken; run collects them into a Trajectory.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +78,6 @@ class Trajectory:
     """Snapshots plus per-snapshot diagnostics and the decay-fit summary."""
     snapshots: list
     table: list                       # dicts: t, |a_k| watches, l2_Y, ...
-    watch_modes: tuple
     fit_rate: float = None
     a0_limit: complex = None
     a1_limit: complex = None
@@ -84,6 +85,12 @@ class Trajectory:
     @property
     def times(self):
         return np.array([row["t"] for row in self.table])
+
+    def fit(self):
+        """Fill the decay-fit fields by fit_decay; they stay None on InsufficientDecay."""
+        with contextlib.suppress(InsufficientDecay):
+            self.fit_rate, self.a0_limit, self.a1_limit = fit_decay(self)
+        return self
 
 
 class _Propagators:
@@ -179,11 +186,10 @@ def _diagnostics_row(curve, watch_modes):
     return row
 
 
-def run(cfg):
-    """Integrate to t_end, recording snapshots on the configured cadence.
-
-    On a step error the exception propagates with trajectory.partial
-    attached for post-mortem inspection.
+def iter_run(cfg):
+    """Integrate to t_end, yielding (curve, diagnostics row) at t = 0 and at
+    each snapshot step, and keeping nothing.  A step error propagates only
+    after every earlier snapshot has been yielded.
     """
     law = cfg.law
     if isinstance(cfg.initial, FourierCurve):
@@ -205,26 +211,19 @@ def run(cfg):
     if cfg.frozen_coefficients:
         props = _Propagators(linear_coefficients(law, a1_ref), a1_ref, dt, cfg.K)
 
-    snapshots = [curve]
-    table = [_diagnostics_row(curve, cfg.watch_modes)]
-    try:
-        for i in range(1, n_steps + 1):
-            curve = step(curve, law, dt, cfg, props)
-            # re-stamp with exact multiple of dt to keep times reproducible
-            curve = FourierCurve(curve.modes, i * dt)
-            if i % snap_stride == 0 or i == n_steps:
-                snapshots.append(curve)
-                table.append(_diagnostics_row(curve, cfg.watch_modes))
-    except Exception as err:
-        err.partial = Trajectory(snapshots, table, cfg.watch_modes)
-        raise
+    yield curve, _diagnostics_row(curve, cfg.watch_modes)
+    for i in range(1, n_steps + 1):
+        curve = step(curve, law, dt, cfg, props)
+        # re-stamp with exact multiple of dt to keep times reproducible
+        curve = FourierCurve(curve.modes, i * dt)
+        if i % snap_stride == 0 or i == n_steps:
+            yield curve, _diagnostics_row(curve, cfg.watch_modes)
 
-    traj = Trajectory(snapshots, table, cfg.watch_modes)
-    try:
-        traj.fit_rate, traj.a0_limit, traj.a1_limit = fit_decay(traj)
-    except InsufficientDecay:
-        pass
-    return traj
+
+def run(cfg):
+    """Collect iter_run(cfg) into a Trajectory and fit its decay."""
+    snapshots, table = map(list, zip(*iter_run(cfg)))
+    return Trajectory(snapshots, table).fit()
 
 
 def _aitken(x0, x1, x2):

@@ -62,10 +62,9 @@ TILE_ROWS = 32
 
 @dataclass(frozen=True)
 class NonlinearityEvaluation:
-    """Velocity modes (|k| <= K), grid values on s_j, and the grid size used."""
+    """Velocity modes (|k| <= K) and grid values on s_j."""
     n_modes: np.ndarray
     grid_values: np.ndarray
-    quadrature_M: int
 
     def __post_init__(self):
         for name in ("n_modes", "grid_values"):
@@ -212,8 +211,7 @@ def eval_nonlinearity(curve, law, M):
 
     spec = np.fft.fft(grid_values) / M
     n_modes = spec[k % M]
-    return NonlinearityEvaluation(n_modes=n_modes, grid_values=grid_values,
-                                  quadrature_M=M)
+    return NonlinearityEvaluation(n_modes=n_modes, grid_values=grid_values)
 
 
 def chord_arc_ratio(curve, M=None):

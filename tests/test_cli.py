@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib.metadata
 import json
@@ -7,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,6 +64,10 @@ SIM_CONFIG = {
     "K": 8, "M": 32, "dt": 0.05, "t_end": 4.0, "snapshot_every": 0.25,
     "watch_modes": [2, 3, -1],
 }
+
+
+def snapshot_names(out):
+    return sorted(n for n in os.listdir(out) if n.startswith("snapshot_"))
 
 
 def simulate(tmp_path, config=SIM_CONFIG, name="run"):
@@ -216,6 +222,46 @@ class TestSimulate:
         code, _ = simulate(tmp_path, config)
         assert code == EXIT_TENSION_DOMAIN
 
+    def test_failed_run_leaves_its_snapshots(self, tmp_path):
+        # an earlier finished run with more snapshots than the failing one reaches
+        code, out = simulate(tmp_path, dict(SIM_CONFIG, snapshot_every=0.05))
+        assert code == EXIT_OK and len(snapshot_names(out)) == 81
+        config = {"law": {"law": "affine", "c0": 2.0, "c1": -0.5,
+                          "check_positivity": False},
+                  "initial_data": {"kind": "single_mode", "k": 3, "amplitude": 1e-4},
+                  "K": 8, "M": 32, "dt": 0.5, "t_end": 200.0, "snapshot_every": 1.0}
+        code, out = simulate(tmp_path, config)
+        assert code == EXIT_TENSION_DOMAIN
+        assert sorted(os.listdir(out)) == ["diagnostics.csv"] + [
+            f"snapshot_{i:06d}.json" for i in range(30)]
+        rows = list(csv.reader(open(os.path.join(out, "diagnostics.csv"))))[1:]
+        times = [json.load(open(os.path.join(out, name)))["time"]
+                 for name in snapshot_names(out)]
+        assert [float(row[0]) for row in rows] == times == [float(i) for i in range(30)]
+        assert main(["measure-norms", "--traj", out,
+                     "--out", str(tmp_path / "norms")]) == EXIT_OK
+
+    def test_memory_does_not_grow_with_snapshot_count(self, tmp_path):
+        # every snapshot goes to disk as it is taken, so only its table row
+        # stays in memory: far less than the (2K+1) complex modes it holds
+        K = 64
+        config = dict(SIM_CONFIG, law={"law": "hookean"}, K=K, M=4 * K, dt=0.01,
+                      snapshot_every=0.01)
+        config["initial_data"] = {"kind": "random_decay", "exponent": 2.0,
+                                  "seed": 1, "amplitude": 1e-3}
+        peaks = {}
+        for n in (1, 40, 400):           # the first call fills the per-M caches
+            cfg = write_config(tmp_path / "mem.json", dict(config, t_end=0.01 * n))
+            tracemalloc.start()
+            try:
+                code = main(["simulate", "--config", cfg, "--out", str(tmp_path / f"m{n}")])
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        per_snapshot = (peaks[400] - peaks[40]) / 360
+        assert per_snapshot < (2 * K + 1) * 16, per_snapshot
+
 
 class TestSpectrumAndKernels:
     def test_linear_spectrum_csv(self, tmp_path):
@@ -310,6 +356,27 @@ class TestTrajectoryTools:
         open(path, "w").write("\n".join(lines) + "\n")
         assert main(["fit-decay", "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "diagnostics.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    def test_extra_snapshot_exit_code(self, tmp_path, capsys, command):
+        _, out = simulate(tmp_path)
+        names = snapshot_names(out)
+        shutil.copy(os.path.join(out, names[-1]),
+                    os.path.join(out, f"snapshot_{len(names):06d}.json"))
+        assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert out in capsys.readouterr().err
+
+    def test_rerun_replaces_earlier_snapshots(self, tmp_path):
+        simulate(tmp_path)
+        code, out = simulate(tmp_path, dict(SIM_CONFIG, t_end=1.0))
+        assert code == EXIT_OK
+        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        assert snapshot_names(out) == sorted(n for n in manifest["outputs"]
+                                             if n.startswith("snapshot_"))
+        nout = str(tmp_path / "norms")
+        assert main(["measure-norms", "--traj", out, "--out", nout]) == EXIT_OK
+        rows = open(os.path.join(nout, "norms.csv")).read().strip().split("\n")
+        assert len(rows) == 1 + 5
 
     def test_fit_decay_insufficient(self, tmp_path):
         config = dict(SIM_CONFIG)

@@ -7,7 +7,7 @@ from peskin2d import (ConfigError, FourierCurve, IllConditioned,
                       InsufficientDecay, StepRejected, cubic, hookean,
                       make_random_decay, make_single_mode, rescale_to_norm)
 from peskin2d.integrator import (RunConfig, Trajectory, _Propagators, default_dt,
-                                 fit_decay, run, step)
+                                 fit_decay, iter_run, run, step)
 from peskin2d.linear import (_phi1_scalar, _phi2_scalar, build_pair_system,
                              propagator_matrices, propagator_tables)
 from peskin2d.tension import TensionLaw, linear_coefficients
@@ -169,17 +169,32 @@ class TestRun:
         a, b = once(), once()
         assert np.array_equal(a, b)
 
-    def test_partial_trajectory_on_failure(self):
+    def test_iter_run_yields_snapshots_before_failure(self):
         law = TensionLaw(lambda r: np.asarray(r, float) * (3.0 - 2.0 * np.asarray(r, float)),
                          lambda r: 3.0 - 4.0 * np.asarray(r, float),
                          "antimonotone", check_positivity=False)
         curve = make_single_mode(8, 2, 1e-6)
         cfg = config(law, curve, dt=12.0, t_end=60.0)
-        with pytest.raises(StepRejected) as exc_info:
-            run(cfg)
-        partial = exc_info.value.partial
-        assert isinstance(partial, Trajectory)
-        assert len(partial.snapshots) >= 1
+        received = []
+        with pytest.raises(StepRejected):
+            for snap, row in iter_run(cfg):
+                received.append((snap, row))
+        # the growth guard rejects the first step, after t = 0 was handed over
+        assert len(received) == 1
+        snap, row = received[0]
+        assert snap is curve
+        assert row["t"] == 0.0 and row["abs_a2"] == 1e-6
+
+    def test_run_collects_iter_run(self, cubic_law):
+        cfg = config(cubic_law, make_single_mode(8, 2, 1e-3), dt=0.05, t_end=4.0,
+                     snapshot_every=0.25)
+        traj = run(cfg)
+        pairs = list(iter_run(cfg))
+        assert [s.time for s in traj.snapshots] == [s.time for s, _ in pairs]
+        assert all(np.array_equal(a.modes, s.modes)
+                   for a, (s, _) in zip(traj.snapshots, pairs))
+        assert traj.table == [row for _, row in pairs]
+        assert (traj.fit_rate, traj.a0_limit, traj.a1_limit) == fit_decay(traj)
 
 
 class TestPolicies:
@@ -231,7 +246,7 @@ class TestFitDecay:
             table.append({"t": float(t), "l2_Y": float(np.exp(-rate * t)),
                           "a0_re": 0.1 * (1 - np.exp(-t)), "a0_im": 0.0,
                           "a1_re": 0.0, "a1_im": -0.05 * (1 - np.exp(-t))})
-        return Trajectory(snapshots=[], table=table, watch_modes=())
+        return Trajectory(snapshots=[], table=table)
 
     def test_exact_exponential(self):
         rate, a0, a1 = fit_decay(self._synthetic(0.7))
