@@ -12,7 +12,7 @@ Every command writes a manifest.json (config, package version, sha256 of
 each output file) next to its outputs.  Exit codes are part of the
 contract:
 
-    0 success            1 verification failed     2 config error
+    0 success            1 verification failed     2 config error or unwritable output
     3 geometry error     4 tension domain error    5 step rejected
     6 insufficient decay     7 ill-conditioned propagator
 """
@@ -114,12 +114,14 @@ def _write_csv(path, header, rows):
 # ---------------------------------------------------------------------------
 # subcommands
 
+# upper bounds: README's key tables give the reason for each
 _SPECTRUM_SCHEMA = {"law": ("object", {"law": "hookean"}), "a1": ("pair", 0j),
-                    "m_max": ("int", 32, 3)}
-_KERNELS_SCHEMA = {"k_max": ("int", 64, 0), "M": ("int", 1024), "n_max": ("int", 6, 0),
-                   "oversample": ("int", 8, 2), "alphas_per_decade": ("int", 4, 1)}
+                    "m_max": ("int", 32, (3, 2048))}
+_KERNELS_SCHEMA = {"k_max": ("int", 64, (0, 8191)), "M": ("int", 1024, (None, 65536)),
+                   "n_max": ("int", 6, (0, 12)), "oversample": ("int", 8, (2, 16)),
+                   "alphas_per_decade": ("int", 4, (1, 64))}
 _LINEARIZATION_SCHEMA = {"law": ("object", REQUIRED), "a1": ("pair", 0j),
-                         "k_max": ("int", 12, 2), "M": ("int", None),
+                         "k_max": ("int", 12, (2, 1022)), "M": ("int", None, (None, 8192)),
                          "delta": ("positive", 1e-6)}
 
 
@@ -383,6 +385,9 @@ def main(argv=None):
                 return code
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CHECK_FAILED
+    except OSError as err:  # every read turns its OSError into a ConfigError: a write failed
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -7,17 +7,21 @@ perturbation X, so the physical curve is
 
 The base circle e^{is} is never stored; it is added back on synthesis.
 Coefficients follow the convention a_k = (1/2pi) integral X(s) e^{-iks} ds.
-All operations are pure functions over immutable values; every transform
-is one FFT of any even size M >= 2K+2.
+All operations are pure functions over immutable values; every grid
+transform is one FFT of any even size M >= 2K+2, and every pointwise
+Fourier sum is one fourier_eval.
 
 half_kernel is the one (s, alpha) form of the half-angle kernel
-e^{-i alpha/2} / (2 sin(alpha/2)) shared by y_tilde here, the boundary
+e^{-i alpha/2} / (2 sin(alpha/2)) shared by this module, the boundary
 integral in nonlin and the difference kernels in kernels; near_zero marks
-the offsets where its removable singularity needs the limit form.
+the offsets where its removable singularity needs the limit form, and
+difference_quotient is the one quotient built on it, for Y~ here and for
+L_n in kernels.
 """
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -165,18 +169,20 @@ def derivative(curve):
     return 1j * wavenumbers(curve.K) * curve.modes
 
 
+def fourier_eval(k, coeff, s, order=0):
+    """Direct sum of coeff_k (ik)^order e^{iks} at arbitrary points s (O(|s| |k|)).
+
+    The one pointwise evaluator: eval_y and kernels.psi_n are thin calls.
+    """
+    s = np.asarray(s, dtype=float)
+    coeff = coeff * (1j * k) ** order if order else coeff
+    out = np.exp(1j * np.multiply.outer(s, k)) @ np.asarray(coeff, dtype=complex)
+    return complex(out) if out.ndim == 0 else out
+
+
 def eval_y(curve, s, order=0):
     """Pointwise Y or its derivative: modes 0 and 1 excluded."""
-    s = np.asarray(s, dtype=float)
-    K = curve.K
-    k = wavenumbers(K)
-    coeff = np.array(curve.modes)
-    coeff[K] = 0.0
-    if K >= 1:
-        coeff[K + 1] = 0.0
-    if order:
-        coeff = coeff * (1j * k) ** order
-    return np.exp(1j * np.multiply.outer(s, k)) @ coeff
+    return fourier_eval(wavenumbers(curve.K), split(curve).y_modes, s, order)
 
 
 def half_kernel(alpha):
@@ -192,24 +198,32 @@ def near_zero(alpha):
     return np.abs(np.remainder(alpha + np.pi, 2.0 * np.pi) - np.pi) < 1e-8
 
 
+def difference_quotient(f, s, alpha):
+    """The half-angle difference quotient half_kernel(alpha) (f(s) - f(s - alpha)).
+
+    f(s, order) evaluates a Fourier sum or its derivative.  Where
+    near_zero(alpha) the removable singularity is crossed with the limit
+    f'(s) e^{-i alpha/2}, first order in alpha.  Broadcasts over s and alpha.
+    """
+    s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
+    small = near_zero(alpha)
+    safe = np.where(small, 1.0, alpha)
+    main = half_kernel(safe) * (f(s) - f(s - safe))
+    limit = f(s, order=1) * np.exp(-1j * alpha / 2.0)
+    out = np.where(small, limit, main)
+    return complex(out) if out.ndim == 0 else out
+
+
 def y_tilde(curve, s, alpha):
     """Regularized difference quotient of the Y part of the curve,
 
         e^{-is} e^{-i alpha/2} (Y(s - alpha) - Y(s)) / (2 sin(alpha/2)),
 
-    continuous across alpha = 0 where it tends to -e^{-is} Y'(s).
-    Broadcasts over array-valued s and alpha.
+    that is -e^{-is} difference_quotient(Y): continuous across alpha = 0,
+    where it tends to -e^{-is} Y'(s).  Broadcasts over array-valued s and alpha.
     """
     s = np.asarray(s, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    s, alpha = np.broadcast_arrays(s, alpha)
-    small = near_zero(alpha)
-    safe_alpha = np.where(small, 1.0, alpha)
-    ys = eval_y(curve, s)
-    ysa = eval_y(curve, s - safe_alpha)
-    main = np.exp(-1j * s) * half_kernel(safe_alpha) * (ysa - ys)
-    limit = -np.exp(-1j * s) * eval_y(curve, s, order=1)
-    out = np.where(small, limit, main)
+    out = -np.exp(-1j * s) * difference_quotient(partial(eval_y, curve), s, alpha)
     return complex(out) if out.ndim == 0 else out
 
 

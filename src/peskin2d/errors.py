@@ -45,12 +45,13 @@ _KINDS = {
 def read_config(d, schema, where, dispatch=None):
     """Check the mapping d against schema; return its values, defaults filled in.
 
-    schema maps each key to (kind, default) or (kind, default, lo), kind one
-    of _KINDS.  A REQUIRED default makes the key mandatory; a key whose
-    default is None also takes null.  With dispatch, schema maps each value
-    of the string d[dispatch] to the schema of that kind's other keys.  An
-    unknown key, a missing required key, a value of the wrong kind, a NaN or
-    inf and a value below lo are ConfigErrors naming where and the key.
+    schema maps each key to (kind, default) or (kind, default, (lo, hi)),
+    kind one of _KINDS and a None bound open.  A REQUIRED default makes the
+    key mandatory; a key whose default is None also takes null.  With
+    dispatch, schema maps each value of the string d[dispatch] to the schema
+    of that kind's other keys.  An unknown key, a missing required key, a
+    value of the wrong kind, a NaN or inf and a value outside [lo, hi] are
+    ConfigErrors naming where and the key.
     """
     if type(d) is not dict:
         raise ConfigError(f"{where} must be an object, got {d!r}")
@@ -63,7 +64,7 @@ def read_config(d, schema, where, dispatch=None):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     out = {}
-    for key, (kind, default, *lo) in schema.items():
+    for key, (kind, default, *bounds) in schema.items():
         value = d.get(key)
         if value is None and (key not in d or default is None):
             if default is REQUIRED:
@@ -74,8 +75,10 @@ def read_config(d, schema, where, dispatch=None):
         if any(type(x) is float and not math.isfinite(x)
                for x in (value if type(value) in (list, tuple) else [value])):
             raise ConfigError(f"{where}: {key} is non-finite, got {value!r}")
-        if not test(value) or (lo and value < lo[0]):
-            bound = f" >= {lo[0]}" if lo else ""
+        lo, hi = bounds[0] if bounds else (None, None)
+        if not test(value) or (lo is not None and value < lo) or (hi is not None and value > hi):
+            bound = " and".join(f" {op} {b}" for op, b in ((">=", lo), ("<=", hi))
+                                if b is not None)
             raise ConfigError(f"{where}: {key} must be {wants}{bound}, got {value!r}")
         out[key] = convert(value) if convert else value
     return out

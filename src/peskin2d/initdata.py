@@ -172,11 +172,12 @@ def _require_chord_arc(curve):
 _SPEC_SCHEMAS = {kind: {**keys, "target_norm": ("target", None)} for kind, keys in {
     "single_mode": {"k": ("int", REQUIRED), "amplitude": ("amplitude", 1e-3),
                     "allow_steady": ("bool", False)},
-    "random_decay": {"exponent": ("real", 2.0), "seed": ("int", 0, 0),
+    "random_decay": {"exponent": ("real", 2.0), "seed": ("int", 0, (0, None)),
                      "amplitude": ("amplitude", 1e-3)},
     "corner": {"positions": ("reals", REQUIRED), "strengths": ("reals", REQUIRED),
                "amplitude": ("amplitude", 1e-2), "width": ("real", 1.0)},
-    "polygonal": {"vertices": ("int", REQUIRED), "amplitude": ("amplitude", 1e-2)},
+    "polygonal": {"vertices": ("int", REQUIRED, (None, 2048)),
+                  "amplitude": ("amplitude", 1e-2)},
 }.items()}
 
 

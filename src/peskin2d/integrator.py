@@ -41,10 +41,11 @@ BLOWUP_FACTOR = 10.0
 
 
 _RUN_SCHEMA = {"law": ("object", REQUIRED), "initial_data": ("object", REQUIRED),
-               "K": ("int", 128, 1), "M": ("int", None), "dt": ("positive", None),
-               "t_end": ("positive", 1.0), "snapshot_every": ("positive", None),
+               "K": ("int", 128, (1, 2048)), "M": ("int", None, (None, 8192)),
+               "dt": ("positive", None), "t_end": ("positive", 1.0),
+               "snapshot_every": ("positive", None),
                "frozen_coefficients": ("bool", True), "watch_modes": ("ints", (2, 3, -1)),
-               "threads": ("int", 1, 1)}     # accepted and ignored: existing configs pass it
+               "threads": ("int", 1, (1, None))}  # accepted and ignored: existing configs pass it
 
 
 @dataclass(frozen=True)

@@ -15,8 +15,8 @@ the package evaluates the symmetric pair sum in closed form so the odd
 part of the integrand cancels exactly in floating point as well.
 
 The half-angle kernel itself is curve.half_kernel, the one (s, alpha)
-form the package shares; curve.near_zero marks the offsets where L_n
-takes its limit form.
+form the package shares.  psi_n is one curve.fourier_eval and L_n one
+curve.difference_quotient, whose limit form covers the offsets near zero.
 
 Dyadic frequency bumps phi_n localize to |k| in [2^{n-1}, 2^{n+1}] and
 form a partition of unity on |k| >= 1.  The localized convolution
@@ -30,18 +30,19 @@ is folded to the distinct |alpha|, and the shifted rows psi_n(s_j - a)
 for a in {alpha, alpha + h, alpha - h} come from one batched real
 inverse FFT of the k >= 0 half spectrum per block, in chunks capped at
 _CHUNK_SAMPLES samples.  Every chunk writes its spectra, rows and
-temporaries into one cached scratch set (about 0.8 MiB, shared by all
-blocks), so a warm fit allocates nothing of a chunk's size.  Against one
-complex transform per field and alpha the fitted constants agree to
-about 1e-13 relative; l_tilde_dalpha_sharp to about 3e-11, because the
+temporaries into one cached scratch set per thread (about 0.8 MiB,
+shared by all blocks), so a warm fit allocates nothing of a chunk's
+size.  Against one complex transform per field and alpha the fitted
+constants agree to about 1e-13 relative; l_tilde_dalpha_sharp to about 3e-11, because the
 central difference at h_rel = 1e-5 magnifies roundoff by about 1/h.
 """
 
-from functools import lru_cache
+import threading
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .curve import fourier_samples, half_kernel, near_zero
+from .curve import difference_quotient, fourier_eval, fourier_samples, half_kernel, wavenumbers
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -131,8 +132,7 @@ def pv_quadrature_jk(k, M):
 @lru_cache(maxsize=64)
 def _psi_support(n):
     """Frequencies and weights of psi_n: hat(psi_n)(k) = phi_{n+2}(k), zero at k = 1."""
-    kmax = 2 ** (n + 3)
-    k = np.arange(-kmax, kmax + 1)
+    k = wavenumbers(2 ** (n + 3))
     w = phi_weight(n + 2, k)
     w[k == 1] = 0.0  # excluded mode; vacuous here since phi_{n+2}(1) = 0
     keep = w != 0.0
@@ -146,28 +146,21 @@ def psi_n(n, s, order=0):
     """The block-n kernel psi_n(s) (or its order-th derivative) as a finite Fourier sum."""
     if n < 0:
         raise ConfigError("block index must be >= 0")
-    k, w = _psi_support(n)
-    s = np.asarray(s, dtype=float)
-    coeff = w * (1j * k) ** order if order else w
-    out = np.exp(1j * np.multiply.outer(s, k)) @ coeff.astype(complex)
-    return complex(out) if out.ndim == 0 else out
+    return fourier_eval(*_psi_support(n), s, order)
 
 
 def l_kernel(n, s, alpha):
     """Difference kernel L_n(s, alpha) = half_kernel(alpha) (psi_n(s) - psi_n(s - alpha)).
 
-    Where near_zero(alpha) the removable singularity is crossed with the
-    limit psi_n'(s) carried to first order in alpha.
+    It is curve.difference_quotient of psi_n, so where near_zero(alpha)
+    it takes the limit psi_n'(s) e^{-i alpha/2}.
     """
-    s = np.asarray(s, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    s, alpha = np.broadcast_arrays(s, alpha)
-    small = near_zero(alpha)
-    safe = np.where(small, 1.0, alpha)
-    main = half_kernel(safe) * (psi_n(n, s) - psi_n(n, s - safe))
-    limit = psi_n(n, s, order=1) * np.exp(-1j * alpha / 2.0)
-    out = np.where(small, limit, main)
-    return complex(out) if out.ndim == 0 else out
+    return difference_quotient(partial(psi_n, n), s, alpha)
+
+
+def _clamped(a, n):
+    """The clamped correction factor sgn(a) min(|a|, 2^{-n})."""
+    return np.sign(a) * np.minimum(np.abs(a), 2.0 ** (-n))
 
 
 def l_tilde_kernel(n, s, alpha, min_form="clamped"):
@@ -184,13 +177,8 @@ def l_tilde_kernel(n, s, alpha, min_form="clamped"):
     """
     if min_form not in ("clamped", "literal"):
         raise ConfigError(f"unknown min_form {min_form!r}")
-    s = np.asarray(s, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    s, alpha = np.broadcast_arrays(s, alpha)
-    if min_form == "clamped":
-        factor = np.sign(alpha) * np.minimum(np.abs(alpha), 2.0 ** (-n))
-    else:
-        factor = np.minimum(2.0 ** (-n), alpha)
+    s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
+    factor = _clamped(alpha, n) if min_form == "clamped" else np.minimum(2.0 ** (-n), alpha)
     out = l_kernel(n, s, alpha) - half_kernel(alpha) * factor * psi_n(n, s, order=1)
     return complex(out) if out.ndim == 0 else out
 
@@ -243,19 +231,14 @@ def psi_l1_norm(n, order=0, oversample=8):
     return float(np.abs(vals).sum() * 2.0 * np.pi / M)
 
 
-def _clamped(a, n):
-    """The clamped correction factor sgn(a) min(|a|, 2^{-n})."""
-    return np.sign(a) * np.minimum(np.abs(a), 2.0 ** (-n))
-
-
 @lru_cache(maxsize=2)
-def _chunk_scratch(samples):
+def _chunk_scratch(samples, thread):
     """Flat scratch for lattice chunks of up to samples = 3 x rows x M real samples.
 
     Holds the half spectra (3 x rows x (M/2 + 1) complex, within samples
     for M >= 2), the shifted rows (3 x rows x M) and one rows x M
-    temporary.  Every block n and grid M takes views of the same memory,
-    so two _l1_rows calls must not be interleaved.
+    temporary.  Every block n and grid M of one thread (threading.get_ident())
+    takes views of the same memory.
     """
     return np.empty(samples, dtype=complex), np.empty(samples), np.empty(samples // 3)
 
@@ -283,7 +266,8 @@ def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
     steps = h_rel * np.maximum(np.abs(alphas), 2.0 ** (-n))
     out = np.empty((3, alphas.size))
     rows = max(1, _CHUNK_SAMPLES // (3 * M))
-    spec_buf, shifted_buf, tmp_buf = _chunk_scratch(max(_CHUNK_SAMPLES, 3 * M))
+    spec_buf, shifted_buf, tmp_buf = _chunk_scratch(max(_CHUNK_SAMPLES, 3 * M),
+                                                 threading.get_ident())
     spec_all = spec_buf[:3 * rows * (M // 2 + 1)].reshape(3, rows, M // 2 + 1)
     spec_all.fill(0.0)  # only the kp columns are written below
     shifted_all = shifted_buf[:3 * rows * M].reshape(3, rows, M)

@@ -37,22 +37,24 @@ window over a reversed, doubled 1-D array; e^{-ir/2} is taken at
 r = s_j - alpha_q itself, so it changes sign where that point wraps
 below 0.  The sum runs over tiles of TILE_ROWS outer points, and no
 M x M array is formed.  Two caches serve each M: the read-only O(M)
-workspace, and one writable set of four TILE_ROWS x M scratch arrays
-that every tile pass writes into with out=, so no call allocates a
-tile-sized array.  The passes run with a one-row ufunc buffer, so numpy
-reads strided and broadcast operands in place instead of copying them.
-Row sums are numpy reductions in a fixed order, not BLAS calls, so the
-result does not depend on the BLAS thread count.
+workspace, and per thread one writable set of four TILE_ROWS x M scratch
+arrays that every tile pass writes into with out=, so no call allocates
+a tile-sized array and threads may evaluate at the same M at once.  The
+passes run with a one-row ufunc buffer, so numpy reads strided and
+broadcast operands in place instead of copying them.  Row sums are
+numpy reductions in a fixed order, not BLAS calls, so the result does
+not depend on the BLAS thread count.
 """
 
 import contextlib
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curve import fourier_samples, half_kernel, split, wavenumbers
+from .curve import _grid_to_modes, derivative, fourier_samples, half_kernel, split, wavenumbers
 from .errors import ConfigError, GeometryError, StepRejected
 from .tension import linear_coefficients, small_t
 
@@ -92,11 +94,11 @@ def _workspace(M):
 
 
 @lru_cache(maxsize=4)
-def _tile_buffers(rows, M):
+def _tile_buffers(rows, M, thread):
     """Scratch for one tile of rows x M points: b, b^2, |b|^2 and a real temporary.
 
-    Reused by every tile scan at this (rows, M); a short last tile takes
-    the leading [:n] rows.
+    Reused by every tile scan of one thread (threading.get_ident()) at this
+    (rows, M); a short last tile takes the leading [:n] rows.
     """
     return (np.empty((rows, M), dtype=complex), np.empty((rows, M), dtype=complex),
             np.empty((rows, M)), np.empty((rows, M)))
@@ -133,12 +135,12 @@ def _alpha_rows(values, wrap_sign=1.0):
 def _chord_tiles(xs, xr, M):
     """Yield (rows, b, |b|^2) tile by tile, b = e^{is/2} (1 + i X~).
 
-    b and |b|^2 live in the shared _tile_buffers scratch: they are valid
-    only until the next tile is drawn, and two scans at the same M must
-    not be interleaved.
+    b and |b|^2 live in the thread's _tile_buffers scratch: they are valid
+    only until the next tile is drawn, and one thread must not interleave
+    two scans at the same M.
     """
     exp_half_s, c, _, i_exp_half_neg_r, _ = _workspace(M)
-    b_tile, _, abs2_tile, tmp_tile = _tile_buffers(TILE_ROWS, M)
+    b_tile, _, abs2_tile, tmp_tile = _tile_buffers(TILE_ROWS, M, threading.get_ident())
     xr_rows = _alpha_rows(xr)
     phase_rows = _alpha_rows(i_exp_half_neg_r, -1.0)
     for start in range(0, M, TILE_ROWS):
@@ -160,8 +162,7 @@ def eval_nonlinearity(curve, law, M):
     dealiased accuracy); every mode finite (else StepRejected); the
     sampled chord-arc ratio must exceed 0.1 (else GeometryError) and the
     stretch |XX'| must stay inside the law's validity interval (else
-    TensionDomainError).  Calls at the same M share the tile scratch, so
-    two threads must not evaluate at the same M at once.
+    TensionDomainError).  Each thread has its own tile scratch.
     """
     K = curve.K
     if M % 2 != 0 or M < 2 * K + 2:
@@ -172,11 +173,10 @@ def eval_nonlinearity(curve, law, M):
         raise StepRejected(f"{bad} of {curve.modes.size} modes are non-finite "
                            "on entry to the boundary integral")
     exp_half_s, _, conj_w, _, exp_r = _workspace(M)
-    k = wavenumbers(K)
 
     xs = _values_on(curve.modes, M, 0.0)
     xr = _values_on(curve.modes, M, np.pi / M)
-    dxr = _values_on(1j * k * curve.modes, M, np.pi / M)
+    dxr = _values_on(derivative(curve), M, np.pi / M)
 
     g = 1.0 - 1j * np.conj(exp_r) * dxr
     stretch = np.abs(g)
@@ -187,7 +187,7 @@ def eval_nonlinearity(curve, law, M):
     # scan goes on, but the integrand is skipped
     min2 = np.inf
     row_sums = np.empty(M, dtype=complex)
-    _, b_sq_tile, _, tmp_tile = _tile_buffers(TILE_ROWS, M)
+    _, b_sq_tile, _, tmp_tile = _tile_buffers(TILE_ROWS, M, threading.get_ident())
     with _row_buffer(M):
         for rows, b, abs2 in _chord_tiles(xs, xr, M):
             min2 = min(min2, float(abs2.min()))
@@ -208,10 +208,8 @@ def eval_nonlinearity(curve, law, M):
             f"chord-arc ratio {np.sqrt(min2):.4g} <= {CHORD_ARC_MIN}: "
             "curve too close to self-intersection")
     grid_values = (-1j / (2.0 * M)) * exp_half_s * row_sums
-
-    spec = np.fft.fft(grid_values) / M
-    n_modes = spec[k % M]
-    return NonlinearityEvaluation(n_modes=n_modes, grid_values=grid_values)
+    return NonlinearityEvaluation(n_modes=_grid_to_modes(grid_values, K),
+                                  grid_values=grid_values)
 
 
 def chord_arc_ratio(curve, M=None):

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curve import fourier_samples
+from .curve import fourier_samples, wavenumbers
 from .errors import ConfigError
 from .kernels import phi_weight
 
@@ -35,11 +35,6 @@ def _as_coeffs(c):
     return c
 
 
-def _kvals(c):
-    K = (c.size - 1) // 2
-    return np.arange(-K, K + 1)
-
-
 def n_blocks(K):
     """Smallest block count covering |k| <= K (support of phi_n starts at 2^{n-1})."""
     return max(1, int(np.floor(np.log2(max(K, 1)))) + 2)
@@ -48,7 +43,7 @@ def n_blocks(K):
 @lru_cache(maxsize=256)
 def _block_weights(n, K):
     """phi_n(k) on k = -K..K, read-only."""
-    w = phi_weight(n, np.arange(-K, K + 1))
+    w = phi_weight(n, wavenumbers(K))
     w.flags.writeable = False
     return w
 
@@ -99,12 +94,12 @@ def linf_norm(c, oversample=8):
     c = _as_coeffs(c)
     K = (c.size - 1) // 2
     M = max(64, int(oversample) * max(2 * K, 1))
-    return float(np.abs(fourier_samples(_kvals(c), c, M)).max())
+    return float(np.abs(fourier_samples(wavenumbers(K), c, M)).max())
 
 
 def deriv_coeffs(c):
     c = _as_coeffs(c)
-    return 1j * _kvals(c) * c
+    return 1j * wavenumbers((c.size - 1) // 2) * c
 
 
 def block_l2_profile(c):
@@ -192,12 +187,15 @@ def norm_report(c, t, oversample=8):
         block_profile=prof)
 
 
-def _shell_masks(k):
-    """Dyadic shells |k| in [2^{m-1}, 2^{m+1}] for m = 0, 1, ... covering the range."""
-    kmax = int(np.abs(k).max(initial=1))
-    m_top = max(1, int(np.floor(np.log2(max(kmax, 1)))) + 2)
-    return [(m, (np.abs(k) >= 2.0 ** (m - 1)) & (np.abs(k) <= 2.0 ** (m + 1)))
-            for m in range(m_top)]
+def _shell_sup(mag, t):
+    """sup over the dyadic shells |k| in [2^{m-1}, 2^{m+1}] of sum mag_k (1 + |k| t)^{2/3}."""
+    K = (mag.size - 1) // 2
+    k = np.abs(wavenumbers(K))
+    sup = 0.0
+    for m in range(n_blocks(K)):
+        mask = (k >= 2.0 ** (m - 1)) & (k <= 2.0 ** (m + 1))
+        sup = max(sup, float(np.sum(mag[mask] * (1.0 + k[mask] * t) ** (2.0 / 3.0))))
+    return sup
 
 
 def wiener_snapshot(c, t):
@@ -205,14 +203,8 @@ def wiener_snapshot(c, t):
     if t < 0:
         raise ConfigError("wiener weight needs t >= 0")
     c = _as_coeffs(c)
-    k = _kvals(c)
-    mag = np.abs(c) * np.abs(k)
-    total = float(mag.sum())
-    shell_sup = 0.0
-    for _, mask in _shell_masks(k):
-        val = float(np.sum(mag[mask] * (1.0 + np.abs(k[mask]) * t) ** (2.0 / 3.0)))
-        shell_sup = max(shell_sup, val)
-    return total + shell_sup
+    mag = np.abs(c) * np.abs(wavenumbers((c.size - 1) // 2))
+    return float(mag.sum()) + _shell_sup(mag, t)
 
 
 def n_norm(c, times):
@@ -221,18 +213,13 @@ def n_norm(c, times):
     The sequence is time-independent here, so the first sup is trivial;
     the shell term grows with t and the sup runs over the sampled times.
     """
-    c = _as_coeffs(c)
-    k = _kvals(c)
-    mag = np.abs(c)
-    total = float(mag.sum())
+    mag = np.abs(_as_coeffs(c))
     shell_sup = 0.0
     for t in np.atleast_1d(times):
         if t < 0:
             raise ConfigError("n_norm times must be >= 0")
-        for _, mask in _shell_masks(k):
-            val = float(np.sum(mag[mask] * (1.0 + np.abs(k[mask]) * t) ** (2.0 / 3.0)))
-            shell_sup = max(shell_sup, val)
-    return total + shell_sup
+        shell_sup = max(shell_sup, _shell_sup(mag, t))
+    return float(mag.sum()) + shell_sup
 
 
 def convolve_coeffs(a, b):

@@ -514,6 +514,53 @@ class TestExitCodeTable:
         assert code == EXIT_STEP_REJECTED
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 2 with a message, not a traceback."""
+
+    @pytest.mark.parametrize("name", ["diagnostics.csv", "snapshot_000000.json"])
+    def test_simulate(self, tmp_path, capsys, name):
+        os.makedirs(tmp_path / "run" / name)  # simulate clears an earlier snapshot_*.json
+        code, _ = simulate(tmp_path, dict(SIM_CONFIG, t_end=0.5))
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and name in err and "Traceback" not in err
+
+    def test_verify_kernels(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "k.json", {"k_max": 1, "M": 64, "n_max": 1,
+                                                 "oversample": 2, "alphas_per_decade": 1})
+        os.makedirs(tmp_path / "o" / "kernel_report.json")
+        code = main(["verify-kernels", "--config", cfg, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("error: ") and "kernel_report.json" in err
+
+
+BIG = 10 ** 30
+
+
+class TestIntegerUpperBounds:
+    """An integer key above its bound exits 2 before anything of its size is allocated."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("linear-spectrum", {"m_max": BIG}),
+        ("verify-kernels", {"n_max": BIG}),
+        ("verify-kernels", {"M": BIG}),
+        ("verify-kernels", {"oversample": BIG}),
+        ("verify-kernels", {"alphas_per_decade": BIG}),
+        ("verify-linearization", {"law": {"law": "cubic"}, "k_max": BIG}),
+        ("verify-linearization", {"law": {"law": "cubic"}, "M": BIG}),
+        ("simulate", dict(SIM_CONFIG, K=BIG, M=None)),
+        ("simulate", dict(SIM_CONFIG, M=BIG)),
+        ("simulate", dict(SIM_CONFIG, initial_data={"kind": "polygonal", "vertices": BIG})),
+    ], ids=["m-max", "n-max", "kernels-M", "oversample", "alphas-per-decade",
+            "linearization-k-max", "linearization-M", "K", "M", "vertices"])
+    def test_above_bound_exit_code(self, tmp_path, capsys, command, config):
+        cfg = write_config(tmp_path / "c.json", config)
+        code = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == EXIT_CONFIG
+        assert "must be an integer" in capsys.readouterr().err
+
+
 class TestInterface:
     def test_flag_passthrough(self, tmp_path):
         cfg = write_config(tmp_path / "c.json", SIM_CONFIG)

@@ -3,8 +3,9 @@ cli.main returns a code from the README exit table and never raises.
 
 Every drawn value is JSON-like and small, so every case that runs stays
 tiny: K <= 8, t_end <= 2 dt, n_max <= 1 and M <= 64 unless the drawn key
-is that one, and integers lie in [-2, 4].  The profile is derandomized
-with no example database, so the suite stays deterministic.
+is that one, and integers lie in [-2, 4], except that a key of kind int
+also draws integers up to 10^30, past every upper bound.  The profile is
+derandomized with no example database, so the suite stays deterministic.
 """
 
 import contextlib
@@ -37,6 +38,7 @@ VALUES = NUMBERS | st.lists(NUMBERS, max_size=3) | st.recursive(
     SCALARS, lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(["law", "kind", "k", "c", "x"]), inner, max_size=2),
     max_leaves=6)
+BIG_INTS = st.integers(-2, 10 ** 30)
 CELLS = st.sampled_from(["", "x", "nan", "inf", "-inf", "-1", "0", "1e400", "1e-400"])
 
 SIM = {"law": {"law": "cubic"}, "initial_data": {"kind": "single_mode", "k": 2},
@@ -56,10 +58,16 @@ COMMANDS = {
 }
 
 
-def edits(base, keys):
-    """base with one key (a known one or not) set to a drawn value, or one key dropped."""
-    set_one = st.builds(lambda key, value: {**base, key: value},
-                        st.sampled_from(sorted(keys)) | st.text(max_size=3), VALUES)
+def edits(base, schema):
+    """base with one key (a known one or not) set to a drawn value, or one key dropped.
+
+    A key of kind int in schema also draws from BIG_INTS.
+    """
+    def values(key):
+        return VALUES | BIG_INTS if schema.get(key, ("",))[0] == "int" else VALUES
+
+    set_one = (st.sampled_from(sorted(schema)) | st.text(max_size=3)).flatmap(
+        lambda key: values(key).map(lambda value: {**base, key: value}))
     drop_one = st.sampled_from(sorted(base)).map(
         lambda key: {k: v for k, v in base.items() if k != key})
     return set_one | drop_one
@@ -67,9 +75,9 @@ def edits(base, keys):
 
 def simulate_configs():
     laws = st.sampled_from(sorted(_LAW_SCHEMAS)).flatmap(
-        lambda kind: edits({"law": kind}, ["law", *_LAW_SCHEMAS[kind]]))
+        lambda kind: edits({"law": kind}, {"law": ("str",), **_LAW_SCHEMAS[kind]}))
     initial = st.sampled_from(sorted(INITIAL)).flatmap(
-        lambda kind: edits(INITIAL[kind], ["kind", *_SPEC_SCHEMAS[kind]]))
+        lambda kind: edits(INITIAL[kind], {"kind": ("str",), **_SPEC_SCHEMAS[kind]}))
     return (edits(SIM, _RUN_SCHEMA)
             | laws.map(lambda law: {**SIM, "law": law})
             | initial.map(lambda data: {**SIM, "initial_data": data}))

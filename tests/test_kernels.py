@@ -8,6 +8,7 @@ from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel,
                       pv_quadrature_jk)
 from peskin2d import kernels
 from peskin2d.curve import fourier_samples
+from conftest import in_threads
 from peskin2d.kernels import (_grid_size, _l1_rows, _psi_support, dyadic_alphas,
                               fit_kernel_bounds, l_kernel_l1,
                               l_tilde_dalpha_l1, l_tilde_l1, phi_cumulative,
@@ -236,6 +237,16 @@ def _lattice_mags(n):
 
 
 class TestBatchedLattice:
+    def test_threads_match_one_thread(self):
+        # each thread has its own chunk scratch: with one shared set, one
+        # block's rows overwrote another's between two passes of a chunk
+        M, alphas, blocks = 256, dyadic_alphas(2)[:21], (1, 2, 3)
+        refs = [_l1_rows(n, alphas, M) for n in blocks]
+        got = in_threads([lambda n=n: _l1_rows(n, alphas, M) for n in blocks], calls=60)
+        for ref, results in zip(refs, got):
+            bad = [r for r in results if isinstance(r, Exception) or not np.array_equal(r, ref)]
+            assert not bad, f"{len(bad)} of {len(results)} calls differ"
+
     @pytest.mark.parametrize("n", range(5))
     def test_even_in_alpha(self, n):
         for a in _lattice_mags(n):

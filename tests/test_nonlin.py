@@ -11,7 +11,7 @@ from peskin2d import (FourierCurve, GeometryError, StepRejected,
 from peskin2d.curve import wavenumbers
 from peskin2d.nonlin import chord_arc_ratio
 
-from conftest import random_y_modes
+from conftest import in_threads, random_y_modes
 
 
 def curve_with(K, assign):
@@ -283,6 +283,20 @@ class TestTileBuffers:
         again = eval_nonlinearity(a, cubic_law, M)
         assert np.array_equal(again.n_modes, first.n_modes)
         assert np.array_equal(again.grid_values, first.grid_values)
+
+    def test_threads_at_one_M_match_one_thread(self, cubic_law):
+        # each thread has its own tile scratch: with one shared set, a thread
+        # overwrote another's tile between two passes of a call
+        K, M = 16, 128
+        curves = [random_curve(K, seed) for seed in (21, 22, 23)]
+        refs = [eval_nonlinearity(c, cubic_law, M) for c in curves]
+        got = in_threads([lambda c=c: eval_nonlinearity(c, cubic_law, M)
+                          for c in curves], calls=30)
+        for ref, results in zip(refs, got):
+            bad = [r for r in results if isinstance(r, Exception)
+                   or not np.array_equal(r.n_modes, ref.n_modes)
+                   or not np.array_equal(r.grid_values, ref.grid_values)]
+            assert not bad, f"{len(bad)} of {len(results)} calls differ, e.g. {bad[0]!r}"
 
     @pytest.mark.parametrize("rows", [7, 100])
     def test_tile_height_leaves_results_bitwise_equal(self, cubic_law, monkeypatch, rows):
