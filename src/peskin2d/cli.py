@@ -193,7 +193,9 @@ def _cmd_verify_kernels(args):
                              + [abs(pv_quadrature_jk(k, M) - jk_exact(k)) for k in ks]))
 
     rng = np.random.default_rng(7)
-    dual_errs = []
+    # the pass test scales each error by the draw's sum of |terms|: roundoff
+    # grows with the block size and 1/sin(alpha/2), the report keeps it absolute
+    dual_errs, dual_rel = [], []
     for _ in range(50):
         n = int(rng.integers(0, n_max + 1))
         s = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -202,9 +204,10 @@ def _cmd_verify_kernels(args):
             a = 0.1
         kk = np.arange(-2 ** (n + 3), 2 ** (n + 3) + 1)
         w = phi_weight(n + 2, kk)
-        direct = np.sum(w * np.exp(-1j * a / 2.0) * (1.0 - np.exp(-1j * a * kk))
-                        / (2.0 * np.sin(a / 2.0)) * np.exp(1j * s * kk))
-        dual_errs.append(abs(direct - l_kernel(n, s, a)))
+        terms = (w * np.exp(-1j * a / 2.0) * (1.0 - np.exp(-1j * a * kk))
+                 / (2.0 * np.sin(a / 2.0)) * np.exp(1j * s * kk))
+        dual_errs.append(abs(np.sum(terms) - l_kernel(n, s, a)))
+        dual_rel.append(dual_errs[-1] / np.abs(terms).sum())
     dual_err = float(np.max(dual_errs))
 
     coarse = fit_kernel_bounds(range(n_max + 1), dyadic_alphas(npd), oversample)
@@ -214,7 +217,7 @@ def _cmd_verify_kernels(args):
                              "l_tilde_dalpha_sharp")}
     psi_mass = {n: psi_l1_norm(n) for n in range(n_max + 1)}
 
-    passed = (ident_err <= 1e-12 and dual_err <= 1e-10
+    passed = (ident_err <= 1e-12 and float(np.max(dual_rel)) <= 1e-12
               and all(v <= 0.20 for v in stability.values()))
     report = {
         "identity_max_error": ident_err,

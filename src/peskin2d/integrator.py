@@ -1,22 +1,13 @@
 """Exponential time differencing on the exact mode splitting.
 
 Each step integrates the linear part of every mode exactly and treats
-only the quadratic-and-higher residual L with a second-order
-predictor-corrector.  All 2K+1 modes sit in one pair layout: pair
-m = 1..K+2 holds u_m = (a_m, conj(a_{2-m})) with the 2x2 matrix G of
-linear.pair_matrices, and
-
-    m = 1:          a_1 paired with itself, G = 0 (a1 is frozen),
-    m = 2:          (a_2, conj(a_0)); G keeps only the mode-2 rate
-                    -(A + b_tilde)/4, the a_0 row is zero,
-    3 <= m <= K:    the full coupled pair,
-    m = K+1, K+2:   a_m is truncated away (a zero pad slot); G keeps only
-                    the scalar rate of a_{2-m}.
-
-Every pair takes the same update u+ = E u + dt [phi1(G dt) L +
+only the quadratic-and-higher residual L = N - G u with a second-order
+predictor-corrector.  G, its pair layout and the batched 2x2 apply live
+in linear, so the residual subtracts the very operator the propagators
+integrate.  Every pair takes u+ = E u + dt [phi1(G dt) L +
 phi2(G dt) (L* - L)], where L* is the residual re-evaluated at the
-predictor; with G = 0 (phi1 = 1, phi2 = 1/2) this is exactly Heun, and
-a diagonal G gives exactly the scalar exponential update.
+predictor; with G = 0 (phi1 = 1, phi2 = 1/2) this is exactly Heun, and a
+diagonal G gives exactly the scalar exponential update.
 
 Under the frozen-coefficient policy (default) the propagators are built
 once from a1(0) and the coefficient drift lives inside the residual; the
@@ -32,12 +23,14 @@ import numpy as np
 from .curve import FourierCurve, split
 from .errors import REQUIRED, ConfigError, InsufficientDecay, StepRejected, read_config
 from .initdata import InitialDataSpec
-from .linear import pair_matrices, propagator_tables
-from .nonlin import eval_residual
+from .linear import _eig2, pair_apply, pair_layout, pair_matrices, pair_modes, propagator_tables
+from .nonlin import eval_nonlinearity
 from .norms import l2_norm, linf_norm, deriv_coeffs
 from .tension import law_from_config, linear_coefficients
 
 BLOWUP_FACTOR = 10.0
+MAX_STEPS = 10 ** 6       # README simulate table gives each cap and its reason
+MAX_SNAPSHOTS = 10 ** 4
 
 
 _RUN_SCHEMA = {"law": ("object", REQUIRED), "initial_data": ("object", REQUIRED),
@@ -100,46 +93,27 @@ class _Propagators:
     def __init__(self, coeffs, a1_ref, dt, K):
         self.dt = dt
         self.coeffs = coeffs
-        self.a1_ref = a1_ref
-        # pair m = 1..K+2 holds u_m = (a_m, conj(a_{2-m})); a_m for m > K is
-        # truncated away and reads and writes the zero pad slot 2K+1
-        m = np.arange(1, K + 3)
-        self.hi = np.where(m <= K, K + m, 2 * K + 1)
-        self.lo = K + 2 - m
+        m = pair_layout(K)[0]
+        self.G = pair_matrices(m, coeffs, a1_ref, K)
         # E, phi1, phi2 of every pair, stacked as one (3, K+2, 2, 2) array
-        self.tables = np.stack(propagator_tables(m, pair_matrices(m, coeffs, a1_ref, K), dt))
+        self.tables = np.stack(propagator_tables(m, self.G, dt))
 
     def advance(self, K, modes, L, L_star=None):
         """One ETD update of all modes; L_star=None gives the predictor."""
-        v = np.zeros((3, 2 * K + 2), dtype=complex)  # modes, L, L* - L; then the pad
-        v[0, :-1] = modes
-        v[1, :-1] = L
-        if L_star is not None:
-            v[2, :-1] = L_star - L
-        e_u, p1_l, p2_c = _pair_apply(self.tables, v, self.hi, self.lo)
-        out = e_u + self.dt * (p1_l + p2_c)
-        new = np.empty(2 * K + 2, dtype=complex)
-        new[self.hi] = out[:, 0]
-        new[self.lo] = np.conj(out[:, 1])
-        return new[:-1]
+        corr = np.zeros_like(L) if L_star is None else L_star - L
+        e_u, p1_l, p2_c = pair_apply(self.tables, np.stack((modes, L, corr)))
+        return pair_modes(e_u + self.dt * (p1_l + p2_c))
 
-
-def _pair_apply(mats, v, hi, lo):
-    """Each 2x2 matrix in mats times its pair state (v[hi], conj(v[lo])).
-
-    Works on stacks: mats (..., n, 2, 2) against v (..., N).  A sum of two
-    elementwise products per row, in a fixed order: no BLAS call, so the
-    result does not depend on the BLAS thread count.
-    """
-    u = np.stack((v[..., hi], np.conj(v[..., lo])), axis=-1)
-    return (mats * u[..., None, :]).sum(axis=-1)
+    def residual(self, curve, law, M):
+        """L = N - G u: the velocity minus the linear part that advance integrates."""
+        return (eval_nonlinearity(curve, law, M).n_modes
+                - pair_modes(pair_apply(self.G, curve.modes)))
 
 
 def default_dt(law, a1, K):
-    """Resolve the fastest retained linear rate: dt = 0.5 / max rate."""
-    coeffs = linear_coefficients(law, a1)
-    fastest = (coeffs.A + coeffs.b_tilde) * max(K - 1, 1) / 4.0
-    return 0.5 / fastest
+    """dt = 0.5 / the fastest retained linear rate, max |eigenvalue| of the pair stack."""
+    lam, _ = _eig2(pair_matrices(pair_layout(K)[0], linear_coefficients(law, a1), a1, K))
+    return 0.5 / float(np.abs(lam).max())
 
 
 def _guard_blowup(old, new):
@@ -166,9 +140,9 @@ def step(curve, law, dt, cfg, props=None):
     if props is None:
         a1_ref = curve.mode(1)
         props = _Propagators(linear_coefficients(law, a1_ref), a1_ref, dt, K)
-    L = eval_residual(curve, law, M, props.coeffs, props.a1_ref)
+    L = props.residual(curve, law, M)
     predictor = FourierCurve(props.advance(K, curve.modes, L), curve.time + dt)
-    L_star = eval_residual(predictor, law, M, props.coeffs, props.a1_ref)
+    L_star = props.residual(predictor, law, M)
     new = props.advance(K, curve.modes, L, L_star)
     _guard_blowup(curve.modes, new)
     return FourierCurve(new, curve.time + dt)
@@ -204,9 +178,16 @@ def iter_run(cfg):
     dt = cfg.dt if cfg.dt is not None else default_dt(law, a1_ref, cfg.K)
     if cfg.t_end < dt:
         raise ConfigError("t_end must be >= dt")
+    if cfg.t_end / dt > MAX_STEPS:  # compared as a float: the ratio may overflow to inf
+        raise ConfigError(f"t_end / dt = {cfg.t_end / dt:.3g} steps exceeds {MAX_STEPS}")
     n_steps = int(round(cfg.t_end / dt))
     snap_every = cfg.snapshot_every if cfg.snapshot_every is not None else 10 * dt
-    snap_stride = max(1, int(round(snap_every / dt)))
+    # a stride past t_end snapshots the same steps, t = 0 and the last; min keeps it finite
+    snap_stride = max(1, int(round(min(snap_every, cfg.t_end) / dt)))
+    n_snaps = 1 + -(-n_steps // snap_stride)
+    if n_snaps > MAX_SNAPSHOTS:
+        raise ConfigError(f"snapshot_every = {snap_every:.3g} gives {n_snaps} snapshots, "
+                          f"more than {MAX_SNAPSHOTS}")
 
     props = None
     if cfg.frozen_coefficients:

@@ -14,10 +14,14 @@ not Hermitian for m >= 3 despite the real spectrum, so it is
 diagonalized by the closed-form 2x2 eigensolver and the eigenvector
 condition number is recorded.
 
-Everything here works on stacks of pairs at once: pair_matrices builds
-G for an array of m, and propagator_tables turns a stack of G into
-e^{G dt}, phi1(G dt) and phi2(G dt) with no loop over m and no BLAS
-call.  The single-pair functions are one-element views of the same code.
+All 2K+1 modes sit in one pair layout: pair m = 1..K+2 holds
+u_m = (a_m, conj(a_{2-m})), with a zero pad slot where a_m (m > K) is
+truncated away.  pair_matrices is the one encoding of the linearization:
+the integrator propagates its G and subtracts G u from the velocity, and
+nonlin.linear_mode_rhs is G u in mode order.  Everything works on stacks
+of pairs at once: pair_apply multiplies 2x2 matrices into the pair
+states, and propagator_tables turns a stack of G into e^{G dt},
+phi1(G dt) and phi2(G dt), with no loop over m and no BLAS call.
 """
 
 from dataclasses import dataclass
@@ -78,6 +82,36 @@ def pair_matrices(m, coeffs, a1, K):
     # which components of u_m = (a_m, conj(a_{2-m})) evolve
     live = np.stack(((m >= 2) & (m <= K), m >= 3), axis=-1)
     return np.where(live[..., :, None] & live[..., None, :], -0.125 * G, 0.0)
+
+
+def pair_layout(K):
+    """(m, hi, lo): pairs 1..K+2 and their slots of a_m, a_{2-m}; 2K+1 is the pad."""
+    m = np.arange(1, K + 3)
+    return m, np.where(m <= K, K + m, 2 * K + 1), K + 2 - m
+
+
+def pair_apply(mats, v):
+    """Each 2x2 matrix of mats (..., K+2, 2, 2) times its pair state of v.
+
+    v (..., 2K+1) holds modes; the result (..., K+2, 2) is in the pair
+    layout, and pair_modes maps it back.  Two elementwise products per
+    row, summed in a fixed order: no BLAS call, so the result does not
+    depend on the BLAS thread count.
+    """
+    _, hi, lo = pair_layout((v.shape[-1] - 1) // 2)
+    padded = np.concatenate((v, np.zeros(v.shape[:-1] + (1,), dtype=complex)), axis=-1)
+    u = np.stack((padded[..., hi], np.conj(padded[..., lo])), axis=-1)
+    return (mats * u[..., None, :]).sum(axis=-1)
+
+
+def pair_modes(out):
+    """Modes (..., 2K+1) of a pair-layout stack (..., K+2, 2); drops the pad."""
+    K = out.shape[-2] - 2
+    _, hi, lo = pair_layout(K)
+    new = np.empty(out.shape[:-2] + (2 * K + 2,), dtype=complex)
+    new[..., hi] = out[..., 0]
+    new[..., lo] = np.conj(out[..., 1])
+    return new[..., :-1]
 
 
 def _eig2(G):

@@ -56,6 +56,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curve import _grid_to_modes, derivative, fourier_samples, half_kernel, split, wavenumbers
 from .errors import ConfigError, GeometryError, StepRejected
+from .linear import pair_apply, pair_layout, pair_matrices, pair_modes
 from .tension import linear_coefficients, small_t
 
 CHORD_ARC_MIN = 0.1
@@ -223,36 +224,21 @@ def chord_arc_ratio(curve, M=None):
 
 
 def linear_mode_rhs(y_modes, coeffs, a1):
-    """Closed-form linearized velocity modes c_k for given coefficients.
+    """Linearized velocity modes c_k: G u of linear.pair_matrices in mode order.
+
+    That is the operator the integrator propagates.  In closed form
 
     c_k = -(A/8)(2|k| + |k-1| - |k+1|) a_k - (b_tilde/8) |k| a_k
           + (B/8) ((1+a1)^2/|1+a1|) |2-k| conj(a_{2-k}),
 
-    with c_0 = c_1 = 0.  The coupling term enters with a plus sign; that
-    sign is pinned down by the decoupled pair systems and confirmed by
-    the finite-difference Jacobian of the full velocity, which the test
-    suite checks to 1e-6 relative.
+    with c_0 = c_1 = 0 and no partner beyond |k| <= K.  The coupling sign
+    is pinned down by the decoupled pair systems and confirmed by the
+    finite-difference Jacobian of the full velocity, which verify-
+    linearization and the test suite check to 1e-6 relative.
     """
     y = np.asarray(y_modes, dtype=complex)
     K = (y.size - 1) // 2
-    k = wavenumbers(K)
-    a1 = complex(a1)
-    r1 = abs(1.0 + a1)
-    u = (1.0 + a1) ** 2 / r1
-
-    diag = -(coeffs.A / 8.0) * (2.0 * np.abs(k) + np.abs(k - 1) - np.abs(k + 1)) \
-        - (coeffs.b_tilde / 8.0) * np.abs(k)
-    out = diag * y
-    # conjugate coupling a_k <- conj(a_{2-k}); partner index 2-k must lie in range
-    j = 2 - k
-    valid = np.abs(j) <= K
-    partner = np.zeros_like(y)
-    partner[valid] = np.conj(y[K + j[valid]])
-    out += (coeffs.B / 8.0) * u * np.abs(j) * partner
-    out[K + 0] = 0.0
-    if K >= 1:
-        out[K + 1] = 0.0
-    return out
+    return pair_modes(pair_apply(pair_matrices(pair_layout(K)[0], coeffs, a1, K), y))
 
 
 def eval_linear_part(curve_split, law):
@@ -261,18 +247,9 @@ def eval_linear_part(curve_split, law):
     return linear_mode_rhs(curve_split.y_modes, coeffs, curve_split.a1)
 
 
-def eval_residual(curve, law, M, coeffs=None, a1_ref=None):
-    """Residual modes L_k = N_k - c_k.
+def eval_residual(curve, law, M):
+    """Residual modes L_k = N_k - c_k, the linear part taken about the curve's own a1.
 
-    By default the linear part is built from the curve's own a1; the
-    integrator passes frozen (coeffs, a1_ref) instead, which moves the
-    coefficient drift into the residual.  For data of size eps the
-    residual is O(eps^2).
+    For data of size eps the residual is O(eps^2).
     """
-    sp = split(curve)
-    if coeffs is None:
-        a1_ref = sp.a1
-        coeffs = linear_coefficients(law, a1_ref)
-    ev = eval_nonlinearity(curve, law, M)
-    c = linear_mode_rhs(sp.y_modes, coeffs, a1_ref)
-    return ev.n_modes - c
+    return eval_nonlinearity(curve, law, M).n_modes - eval_linear_part(split(curve), law)

@@ -288,6 +288,28 @@ class TestSpectrumAndKernels:
         assert report["identity_max_error"] <= 1e-12
         assert report["dual_formula_max_error"] <= 1e-10
 
+    def test_dual_formula_relative_to_term_sum(self, tmp_path):
+        # block n = 11 sums 2^15 terms: its roundoff is above 1e-10 absolute
+        # but within 1e-12 of the sum of |terms|, and every other check passes
+        cfg = write_config(tmp_path / "k.json", {"k_max": 4, "M": 64, "n_max": 11,
+                                                 "oversample": 2, "alphas_per_decade": 4})
+        out = str(tmp_path / "kern")
+        assert main(["verify-kernels", "--config", cfg, "--out", out]) == EXIT_OK
+        report = json.load(open(os.path.join(out, "kernel_report.json")))
+        assert report["dual_formula_max_error"] > 1e-10 and report["pass"] is True
+
+    def test_perturbed_dual_formula_fails(self, tmp_path, monkeypatch):
+        from peskin2d import cli
+        exact = cli.l_kernel
+        monkeypatch.setattr(cli, "l_kernel", lambda n, s, a: exact(n, s, a) * (1.0 + 1e-9))
+        cfg = write_config(tmp_path / "k.json",
+                           {"k_max": 8, "M": 128, "n_max": 2, "oversample": 4})
+        out = str(tmp_path / "kern")
+        assert main(["verify-kernels", "--config", cfg, "--out", out]) == EXIT_CHECK_FAILED
+        report = json.load(open(os.path.join(out, "kernel_report.json")))
+        assert report["identity_max_error"] <= 1e-12 and report["pass"] is False
+        assert max(report["refinement_change"].values()) <= 0.20
+
 
     @pytest.mark.parametrize("config", [
         {"m_max": "x"},

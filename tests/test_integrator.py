@@ -5,9 +5,9 @@ import pytest
 
 from peskin2d import (ConfigError, FourierCurve, IllConditioned,
                       InsufficientDecay, StepRejected, cubic, hookean,
-                      make_random_decay, make_single_mode, rescale_to_norm)
-from peskin2d.integrator import (RunConfig, Trajectory, _Propagators, default_dt,
-                                 fit_decay, iter_run, run, step)
+                      make_random_decay, make_single_mode, power, rescale_to_norm)
+from peskin2d.integrator import (MAX_SNAPSHOTS, MAX_STEPS, RunConfig, Trajectory,
+                                 _Propagators, default_dt, fit_decay, iter_run, run, step)
 from peskin2d.linear import (_phi1_scalar, _phi2_scalar, build_pair_system,
                              propagator_matrices, propagator_tables)
 from peskin2d.tension import TensionLaw, linear_coefficients
@@ -136,6 +136,16 @@ class TestRun:
         # 0.5 / ((A + b_tilde)(K-1)/4) for the cubic law at the circle
         assert default_dt(cubic_law, 0.0, 65) == pytest.approx(0.5 / 64.0, rel=1e-12)
 
+    def test_default_dt_hookean_counts_truncated_partner(self, hookean_law):
+        # A = 1, b_tilde = 0: the fastest rate is not (A + b_tilde)(K-1)/4 = 7/4
+        # but that of a_{-K} alone in pair K+2, ((2m-2) A + (m-2) b_tilde)/8 = 18/8
+        assert default_dt(hookean_law, 0.0, 8) == pytest.approx(0.5 / 2.25, rel=1e-12)
+
+    def test_default_dt_power_half_uses_larger_eigenvalue(self):
+        # tau = sqrt(r): A = 1, b_tilde = -1/2, so the eigenvalue 2 A (m-1)/8 of
+        # pair m = K outruns 2 (A + b_tilde)(m-1)/8 twice over
+        assert default_dt(power(0.5), 0.0, 64) == pytest.approx(0.5 / (63 / 4), rel=1e-12)
+
     def test_corner_decay_against_linear_prediction(self, cubic_law):
         from peskin2d import make_corner
         from peskin2d.linear import spectrum_report, mode2_system
@@ -195,6 +205,49 @@ class TestRun:
                    for a, (s, _) in zip(traj.snapshots, pairs))
         assert traj.table == [row for _, row in pairs]
         assert (traj.fit_rate, traj.a0_limit, traj.a1_limit) == fit_decay(traj)
+
+
+class TestSymmetry:
+    """Whole-run oracles: the flow commutes with rotation and translation."""
+
+    K = 16
+
+    def _snapshots(self, modes, frozen):
+        cfg = config(cubic(), FourierCurve(modes), dt=0.05, t_end=0.5, snapshot_every=0.1,
+                     frozen_coefficients=frozen)
+        return [s.modes for s, _ in iter_run(cfg)]
+
+    def _initial(self, rng):
+        modes = random_y_modes(rng, self.K, amp=1e-2)
+        modes[self.K] = 0.1 + 0.05j
+        modes[self.K + 1] = 0.02 - 0.01j
+        return modes
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_rotation(self, rng, frozen):
+        # a_k e^{i(k-1) theta} is the curve e^{-i theta} X(s + theta); a shift
+        # by 7 grid steps of M = 4K keeps the quadrature nodes
+        k = np.arange(-self.K, self.K + 1)
+        phase = np.exp(1j * (k - 1) * 2.0 * np.pi * 7 / (4 * self.K))
+        modes = self._initial(rng)
+        base = self._snapshots(modes, frozen)
+        turned = self._snapshots(modes * phase, frozen)
+        assert len(base) == 6
+        for a, b in zip(turned, base):
+            assert np.abs(a - b * phase).max() <= 1e-14
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_translation(self, rng, frozen):
+        c = 0.3 - 0.2j
+        modes = self._initial(rng)
+        moved = modes.copy()
+        moved[self.K] += c
+        base = self._snapshots(modes, frozen)
+        shifted = self._snapshots(moved, frozen)
+        assert len(base) == 6
+        for a, b in zip(shifted, base):
+            assert abs(a[self.K] - b[self.K] - c) <= 1e-14
+            assert np.abs(np.delete(a - b, self.K)).max() <= 1e-14
 
 
 class TestPolicies:
@@ -283,6 +336,28 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"law": {"law": "cubic"}, "initial_data":
                                  {"kind": "single_mode", "k": 2}, "wat": 1})
+
+    @staticmethod
+    def _k8(**keys):
+        return RunConfig.from_dict({"law": {"law": "cubic"},
+                                    "initial_data": {"kind": "single_mode", "k": 2},
+                                    "K": 8, **keys})
+
+    @pytest.mark.parametrize("keys, match", [
+        ({"dt": 1e-9, "t_end": 1.0}, "steps exceeds"),
+        ({"dt": 1e-10, "t_end": 1e300}, "steps exceeds"),
+        ({"dt": 1e-4, "t_end": 2.0, "snapshot_every": 1e-4}, "snapshots, more than"),
+    ], ids=["steps", "steps-overflow", "snapshots"])
+    def test_planned_counts_capped_before_first_yield(self, keys, match):
+        with pytest.raises(ConfigError, match=match):
+            next(iter_run(self._k8(**keys)))
+
+    def test_counts_at_the_caps_accepted(self):
+        # t = 0 is yielded before any step is taken
+        for keys in ({"dt": 1.0 / MAX_STEPS, "t_end": 1.0, "snapshot_every": 1.0},
+                     {"dt": 1e-3, "t_end": (MAX_SNAPSHOTS - 1) * 1e-3, "snapshot_every": 1e-3},
+                     {"dt": 1e-3, "t_end": 1.0, "snapshot_every": 1e308}):
+            assert next(iter_run(self._k8(**keys)))[1]["t"] == 0.0
 
     def test_m_floor(self):
         with pytest.raises(ConfigError):
