@@ -351,11 +351,11 @@ def _build_parser():
                     "in 2D Stokes flow")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_config=True, needs_traj=False):
+    def add(name, fn, needs_traj=False):
         sp = sub.add_parser(name)
         if needs_traj:
             sp.add_argument("--traj", required=True, help="trajectory directory")
-        elif needs_config:
+        else:
             sp.add_argument("--config", required=(name != "verify-kernels"),
                             help="JSON config path")
         sp.add_argument("--out", required=True, help="output directory")

@@ -134,14 +134,14 @@ def synthesize(curve, M):
     return PhysicalGrid(M, np.exp(1j * s) + _modes_to_grid(curve.modes, M))
 
 
-def analyze(grid, K, time=0.0):
+def analyze(grid, K):
     """Recover perturbation coefficients from samples of the full curve.
 
     Exact for band-limited input with M >= 2K+2.
     """
     _check_grid(grid.n_points, K)
     x = grid.samples - np.exp(1j * grid.s)
-    return FourierCurve(_grid_to_modes(x, K), time)
+    return FourierCurve(_grid_to_modes(x, K))
 
 
 def split(curve):

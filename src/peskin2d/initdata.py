@@ -99,14 +99,14 @@ def corner_report(K, positions, strengths, amplitude, width=1.0):
     }
 
 
-def _tent_tail_w(K, strengths, width, scale, horizon=2 ** 20):
-    """Closed-form estimate of sum_{|k| > K} |a_k| |k| up to a fixed horizon.
+def _tent_tail_w(K, strengths, width, scale):
+    """Closed-form estimate of sum_{|k| > K} |a_k| |k| up to the horizon |k| = 2^20.
 
     For tent spectra the summand behaves like 1/|k|, so the full tail
     diverges logarithmically; the finite-horizon value quantifies the
     truncation honestly for comparison against the retained Wiener mass.
     """
-    j = np.arange(K, horizon, dtype=float)
+    j = np.arange(K, 2 ** 20, dtype=float)
     # |k| ~ j+1 on the positive side, j-1 on the negative; bound both by closed form
     env = 2.0 * np.sin(j * width / 2.0) ** 2 / (np.pi * j ** 2 * width)
     per_tent = float(np.sum(env * (j + 1.0)) + np.sum(env * np.maximum(j - 1.0, 0.0)))
@@ -147,17 +147,21 @@ def rescale_to_norm(curve, norm_name, value):
     """Scale all modes so the named norm ('s' or 'w') equals value exactly.
 
     Both norms are positively homogeneous, so the rescale is exact and
-    idempotent up to roundoff.
+    idempotent up to roundoff.  The modes are first scaled by the power of
+    two that brings max |a_k| into [1/2, 1), which changes no rounding and
+    keeps |a_k|^2 from underflowing at any amplitude.
     """
+    exponent = np.frexp(np.abs(curve.modes).max())[1]
+    modes = np.ldexp(curve.modes.view(float), -exponent).view(complex)
     if norm_name == "s":
-        current = norms.s_norm(curve.modes)
+        current = norms.s_norm(modes)
     elif norm_name == "w":
-        current = norms.wiener_snapshot(curve.modes, 0.0)
+        current = norms.wiener_snapshot(modes, 0.0)
     else:
         raise ConfigError(f"unknown target norm {norm_name!r} (use 's' or 'w')")
     if current == 0.0:
         raise ConfigError("cannot rescale identically zero data")
-    return FourierCurve(curve.modes * (value / current), curve.time)
+    return FourierCurve(modes * (value / current), curve.time)
 
 
 def _require_chord_arc(curve):

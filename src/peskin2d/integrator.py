@@ -55,8 +55,8 @@ class RunConfig:
     watch_modes: tuple = (2, 3, -1)
 
     def __post_init__(self):
-        if self.M is not None and self.M < 4 * self.K:
-            raise ConfigError(f"M={self.M} must be >= 4K = {4 * self.K}")
+        if self.M is not None and (self.M % 2 or self.M < 4 * self.K):
+            raise ConfigError(f"M={self.M} must be even and >= 4K = {4 * self.K}")
 
     @staticmethod
     def from_dict(d):
@@ -88,17 +88,16 @@ class Trajectory:
 
 
 class _Propagators:
-    """Per-(coefficients, a1_ref, dt) exact propagator tables for all modes."""
+    """Per-(law, a1_ref, dt) exact propagator tables for all modes."""
 
-    def __init__(self, coeffs, a1_ref, dt, K):
+    def __init__(self, law, a1_ref, dt, K):
         self.dt = dt
-        self.coeffs = coeffs
         m = pair_layout(K)[0]
-        self.G = pair_matrices(m, coeffs, a1_ref, K)
+        self.G = pair_matrices(m, linear_coefficients(law, a1_ref), a1_ref, K)
         # E, phi1, phi2 of every pair, stacked as one (3, K+2, 2, 2) array
         self.tables = np.stack(propagator_tables(m, self.G, dt))
 
-    def advance(self, K, modes, L, L_star=None):
+    def advance(self, modes, L, L_star=None):
         """One ETD update of all modes; L_star=None gives the predictor."""
         corr = np.zeros_like(L) if L_star is None else L_star - L
         e_u, p1_l, p2_c = pair_apply(self.tables, np.stack((modes, L, corr)))
@@ -128,22 +127,18 @@ def _guard_blowup(old, new):
             f"({np.abs(old).max():.3g} -> {np.abs(new).max():.3g})")
 
 
-def step(curve, law, dt, cfg, props=None):
-    """One ETD-RK2 step of length dt.
+def step(curve, law, dt, M, props=None):
+    """One ETD-RK2 step of length dt, with the boundary integral at M points.
 
-    props carries the precomputed propagators; when omitted (or when
-    the refreshed-coefficient policy is active) they are rebuilt from
-    the current a1.
+    props carries the precomputed propagators; when omitted (the
+    refreshed-coefficient policy) they are rebuilt from the current a1.
     """
-    K = curve.K
-    M = cfg.M if cfg.M is not None else 4 * K
     if props is None:
-        a1_ref = curve.mode(1)
-        props = _Propagators(linear_coefficients(law, a1_ref), a1_ref, dt, K)
+        props = _Propagators(law, curve.mode(1), dt, curve.K)
     L = props.residual(curve, law, M)
-    predictor = FourierCurve(props.advance(K, curve.modes, L), curve.time + dt)
+    predictor = FourierCurve(props.advance(curve.modes, L), curve.time + dt)
     L_star = props.residual(predictor, law, M)
-    new = props.advance(K, curve.modes, L, L_star)
+    new = props.advance(curve.modes, L, L_star)
     _guard_blowup(curve.modes, new)
     return FourierCurve(new, curve.time + dt)
 
@@ -189,13 +184,12 @@ def iter_run(cfg):
         raise ConfigError(f"snapshot_every = {snap_every:.3g} gives {n_snaps} snapshots, "
                           f"more than {MAX_SNAPSHOTS}")
 
-    props = None
-    if cfg.frozen_coefficients:
-        props = _Propagators(linear_coefficients(law, a1_ref), a1_ref, dt, cfg.K)
+    M = cfg.M if cfg.M is not None else 4 * cfg.K
+    props = _Propagators(law, a1_ref, dt, cfg.K) if cfg.frozen_coefficients else None
 
     yield curve, _diagnostics_row(curve, cfg.watch_modes)
     for i in range(1, n_steps + 1):
-        curve = step(curve, law, dt, cfg, props)
+        curve = step(curve, law, dt, M, props)
         # re-stamp with exact multiple of dt to keep times reproducible
         curve = FourierCurve(curve.modes, i * dt)
         if i % snap_stride == 0 or i == n_steps:

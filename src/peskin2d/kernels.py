@@ -34,7 +34,7 @@ temporaries into one cached scratch set per thread (about 0.8 MiB,
 shared by all blocks), so a warm fit allocates nothing of a chunk's
 size.  Against one complex transform per field and alpha the fitted
 constants agree to about 1e-13 relative; l_tilde_dalpha_sharp to about 3e-11, because the
-central difference at h_rel = 1e-5 magnifies roundoff by about 1/h.
+central difference at relative step 1e-5 magnifies roundoff by about 1/h.
 """
 
 import threading
@@ -223,9 +223,9 @@ def _grid_size(n, oversample=8):
     return int(oversample) * 2 ** (n + 3)
 
 
-def psi_l1_norm(n, order=0, oversample=8):
+def psi_l1_norm(n, order=0):
     """Trapezoidal integral of |psi_n^{(order)}| over the torus."""
-    M = _grid_size(n, oversample)
+    M = _grid_size(n)
     k, w = _psi_support(n)
     vals = fourier_samples(k, w * (1j * k) ** order, M)
     return float(np.abs(vals).sum() * 2.0 * np.pi / M)
@@ -243,13 +243,13 @@ def _chunk_scratch(samples, thread):
     return np.empty(samples, dtype=complex), np.empty(samples), np.empty(samples // 3)
 
 
-def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
+def _l1_rows(n, alphas, M, factors=None):
     """L^1 norms over s of L_n, L~_n and d_alpha L~_n, one value per alpha.
 
     Returns (|L_n|, |L~_n|, |d_a L~_n|), three arrays shaped like alphas.
     L~_n uses the correction factors given (default: clamped); the
     derivative is the clamped form by central differencing at alpha +- h
-    with h = h_rel max(|alpha|, 2^{-n}).  Each alpha needs the rows
+    with h = 1e-5 max(|alpha|, 2^{-n}).  Each alpha needs the rows
     psi_n(s_j - a) for a in {alpha, alpha + h, alpha - h}; they come from
     one batched real inverse FFT per chunk of _CHUNK_SAMPLES samples, and
     every norm is summed in real arithmetic: the half kernel is a scalar
@@ -263,7 +263,7 @@ def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
     k, w = _psi_support(n)
     kp, wp = k[k > 0], w[k > 0]
     vals, dvals = _psi_grid(n, M)
-    steps = h_rel * np.maximum(np.abs(alphas), 2.0 ** (-n))
+    steps = 1e-5 * np.maximum(np.abs(alphas), 2.0 ** (-n))
     out = np.empty((3, alphas.size))
     rows = max(1, _CHUNK_SAMPLES // (3 * M))
     spec_buf, shifted_buf, tmp_buf = _chunk_scratch(max(_CHUNK_SAMPLES, 3 * M),
@@ -296,7 +296,7 @@ def _l1_rows(n, alphas, M, h_rel=1e-5, factors=None):
     return out * (2.0 * np.pi / M)
 
 
-def _l1_at(n, alpha, oversample, factor=None, h_rel=1e-5):
+def _l1_at(n, alpha, factor=None):
     """The three norms at one alpha, evaluated at |alpha|.
 
     Reflecting s -> -s maps psi_n(s + |alpha|) to psi_n(s - |alpha|) and
@@ -305,15 +305,15 @@ def _l1_at(n, alpha, oversample, factor=None, h_rel=1e-5):
     """
     a = abs(float(alpha))
     factors = None if factor is None else np.array([np.sign(alpha) * factor])
-    return _l1_rows(n, np.array([a]), _grid_size(n, oversample), h_rel, factors)[:, 0]
+    return _l1_rows(n, np.array([a]), _grid_size(n), factors)[:, 0]
 
 
-def l_kernel_l1(n, alpha, oversample=8):
+def l_kernel_l1(n, alpha):
     """Integral over s of |L_n(s, alpha)| by trapezoidal rule on a fine grid."""
-    return float(_l1_at(n, alpha, oversample)[0])
+    return float(_l1_at(n, alpha)[0])
 
 
-def l_tilde_l1(n, alpha, oversample=8, min_form="clamped"):
+def l_tilde_l1(n, alpha, min_form="clamped"):
     """Integral over s of |L~_n(s, alpha)|."""
     if min_form == "clamped":
         factor = None
@@ -321,17 +321,17 @@ def l_tilde_l1(n, alpha, oversample=8, min_form="clamped"):
         factor = min(2.0 ** (-n), alpha)
     else:
         raise ConfigError(f"unknown min_form {min_form!r}")
-    return float(_l1_at(n, alpha, oversample, factor)[1])
+    return float(_l1_at(n, alpha, factor)[1])
 
 
-def l_tilde_dalpha_l1(n, alpha, oversample=8, h_rel=1e-5):
+def l_tilde_dalpha_l1(n, alpha):
     """Integral over s of |d/d alpha L~_n| by central differencing in alpha."""
-    return float(_l1_at(n, alpha, oversample, h_rel=h_rel)[2])
+    return float(_l1_at(n, alpha)[2])
 
 
-def dyadic_alphas(n_per_decade=1, lo=-10, hi=0):
-    """Dyadic test offsets +-2^j covering small through order-one angles."""
-    exps = np.arange(lo, hi + 1, 1.0 / n_per_decade)
+def dyadic_alphas(n_per_decade=1):
+    """Dyadic test offsets +-2^j, j = -10..0, covering small through order-one angles."""
+    exps = np.arange(-10, 1, 1.0 / n_per_decade)
     mags = 2.0 ** exps
     return np.concatenate([mags, -mags])
 

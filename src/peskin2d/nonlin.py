@@ -180,9 +180,8 @@ def eval_nonlinearity(curve, law, M):
     dxr = _values_on(derivative(curve), M, np.pi / M)
 
     g = 1.0 - 1j * np.conj(exp_r) * dxr
-    stretch = np.abs(g)
-    law.check_domain(stretch)
-    conj_h_rows = _alpha_rows(np.conj(exp_r * g * g) * small_t(law, stretch))
+    # small_t checks the stretch against the law before g^2 can overflow
+    conj_h_rows = _alpha_rows(small_t(law, np.abs(g)) * np.conj(exp_r * g * g))
 
     # the chord-arc minimum covers every tile: after a violation the
     # scan goes on, but the integrand is skipped

@@ -89,11 +89,11 @@ def l2_norm(c):
     return float(np.sqrt(2.0 * np.pi * np.sum(np.abs(c) ** 2)))
 
 
-def linf_norm(c, oversample=8):
-    """Sup norm of the synthesized function on an oversampled grid."""
+def linf_norm(c):
+    """Sup norm of the synthesized function on a grid 8 times oversampled."""
     c = _as_coeffs(c)
     K = (c.size - 1) // 2
-    M = max(64, int(oversample) * max(2 * K, 1))
+    M = max(64, 8 * max(2 * K, 1))
     return float(np.abs(fourier_samples(wavenumbers(K), c, M)).max())
 
 
@@ -110,18 +110,18 @@ def block_l2_profile(c):
                      for n in range(n_blocks(K))])
 
 
-def s_norm(c, oversample=8):
+def s_norm(c):
     """|f'|_Linf plus the sup over blocks of 2^{3n/2} |P_n f|_L2."""
     c = _as_coeffs(c)
-    return _s_from(block_l2_profile(c), linf_norm(deriv_coeffs(c), oversample))
+    return _s_from(block_l2_profile(c), linf_norm(deriv_coeffs(c)))
 
 
-def z1_weight(c, t, oversample=8):
+def z1_weight(c, t):
     """Time-weighted snapshot: (1+t)^{2/3} |f'|_Linf + sup (1 + 2^n t)^{2/3} 2^{3n/2} |P_n f|."""
     if t < 0:
         raise ConfigError("z1 weight needs t >= 0")
     c = _as_coeffs(c)
-    return _z1_from(block_l2_profile(c), linf_norm(deriv_coeffs(c), oversample), t)
+    return _z1_from(block_l2_profile(c), linf_norm(deriv_coeffs(c)), t)
 
 
 def z2_weight(c, t):
@@ -168,7 +168,7 @@ class NormReport:
     block_profile: np.ndarray     # 2^{3n/2} |P_n f|_L2 per block
 
 
-def norm_report(c, t, oversample=8):
+def norm_report(c, t):
     """Evaluate every diagnostic of a coefficient snapshot at time t.
 
     The block profile and |f'|_Linf are computed once and shared; each
@@ -178,7 +178,7 @@ def norm_report(c, t, oversample=8):
         raise ConfigError("norm report needs t >= 0")
     c = _as_coeffs(c)
     prof = block_l2_profile(c)
-    d_inf = linf_norm(deriv_coeffs(c), oversample)
+    d_inf = linf_norm(deriv_coeffs(c))
     return NormReport(
         s_norm=_s_from(prof, d_inf),
         z1_snapshot=_z1_from(prof, d_inf, t),
@@ -229,7 +229,7 @@ def convolve_coeffs(a, b):
     return np.convolve(a, b)
 
 
-def z1_algebra_check(y1_snapshots, y2_snapshots, t_grid, oversample=8):
+def z1_algebra_check(y1_snapshots, y2_snapshots, t_grid):
     """Ratio sup_t z1(Y1' Y2') / (sup_t z1(Y1) * sup_t z1(Y2)).
 
     Snapshots are coefficient arrays aligned with t_grid.  The product
@@ -242,8 +242,8 @@ def z1_algebra_check(y1_snapshots, y2_snapshots, t_grid, oversample=8):
     prod_sup, z1_sup1, z1_sup2 = 0.0, 0.0, 0.0
     for c1, c2, t in zip(y1_snapshots, y2_snapshots, t_grid):
         prod = convolve_coeffs(deriv_coeffs(c1), deriv_coeffs(c2))
-        prod_sup = max(prod_sup, z1_weight(prod, t, oversample))
-        z1_sup1 = max(z1_sup1, z1_weight(c1, t, oversample))
-        z1_sup2 = max(z1_sup2, z1_weight(c2, t, oversample))
+        prod_sup = max(prod_sup, z1_weight(prod, t))
+        z1_sup1 = max(z1_sup1, z1_weight(c1, t))
+        z1_sup2 = max(z1_sup2, z1_weight(c2, t))
     denom = z1_sup1 * z1_sup2
     return prod_sup / denom if denom > 0 else 0.0

@@ -107,6 +107,7 @@ class TestSimulate:
     @pytest.mark.parametrize("override", [
         {"K": "abc"},
         {"M": "64"},
+        {"M": 33},
         {"law": {"law": "cubic", "c": "x"}},
         {"initial_data": {"kind": "corner", "strengths": [1.0]}},
         {"initial_data": {"kind": "single_mode", "k": "x"}},
@@ -137,7 +138,7 @@ class TestSimulate:
         {"initial_data": {"kind": "single_mode", "k": 1, "allow_steady": "no"}},
         {"initial_data": {"kind": "corner", "positions": [0.0],
                           "strengths": [float("inf")]}},
-    ], ids=["K-not-int", "M-string", "law-c-string", "corner-no-positions",
+    ], ids=["K-not-int", "M-string", "M-odd", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
             "watch-modes-string", "t-end-inf", "snapshot-every-zero",
             "snapshot-every-negative", "frozen-string", "amplitude-nan",
@@ -150,8 +151,9 @@ class TestSimulate:
     def test_bad_config_value_exit_code(self, tmp_path, override):
         # a bad value is a config error (exit 2), never an uncaught exception;
         # the test settings also turn any RuntimeWarning on the way into an error
-        code, _ = simulate(tmp_path, dict(SIM_CONFIG, **override))
+        code, out = simulate(tmp_path, dict(SIM_CONFIG, **override))
         assert code == EXIT_CONFIG
+        assert not os.path.isdir(out) or not snapshot_names(out)
 
     @pytest.mark.parametrize("initial", [
         {"kind": "corner", "positions": [0.0, 1.9], "strengths": [1.0, 0.7],
@@ -277,6 +279,14 @@ class TestSpectrumAndKernels:
         assert float(first[2]) == pytest.approx(16.0)
         rates = [float(r.split(",")[3]) for r in rows[1:]]
         assert all(b > a for a, b in zip(rates, rates[1:]))
+
+    def test_linear_spectrum_affine_large_offset(self, tmp_path):
+        # a valid law whose A + |1+a1| B meets tau'(|1+a1|) only to roundoff
+        cfg = write_config(tmp_path / "a.json",
+                           {"law": {"law": "affine", "c0": 10000.0, "c1": 1.0},
+                            "a1": [0.1, 0.0]})
+        out = str(tmp_path / "spec")
+        assert main(["linear-spectrum", "--config", cfg, "--out", out]) == EXIT_OK
 
     def test_verify_kernels_small(self, tmp_path):
         cfg = write_config(tmp_path / "k.json",

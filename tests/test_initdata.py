@@ -156,6 +156,14 @@ class TestRescale:
         again = rescale_to_norm(scaled, name, 1e-2)
         assert np.abs(again.modes - scaled.modes).max() <= 1e-12 * 1e-2
 
+    @pytest.mark.parametrize("amplitude", [1e-200, 1e-320])
+    @pytest.mark.parametrize("name", ["s", "w"])
+    def test_exact_at_tiny_amplitude(self, name, amplitude):
+        # |a_k|^2 underflows unless the modes are scaled before measuring
+        scaled = rescale_to_norm(make_random_decay(16, 2.0, 0, amplitude), name, 1e-2)
+        measure = s_norm if name == "s" else lambda m: wiener_snapshot(m, 0.0)
+        assert measure(scaled.modes) == pytest.approx(1e-2, rel=1e-15)
+
     def test_zero_data_rejected(self):
         c = make_random_decay(8, 2.0, 0, 0.0)
         with pytest.raises(ConfigError):

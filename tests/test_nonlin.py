@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from peskin2d import (FourierCurve, GeometryError, StepRejected,
-                      TensionDomainError, cubic, eval_linear_part,
+                      TensionDomainError, TensionLaw, cubic, eval_linear_part,
                       eval_nonlinearity, eval_residual, hookean,
                       linear_coefficients, linear_mode_rhs, nonlin, split)
 from peskin2d.curve import wavenumbers
@@ -162,6 +162,27 @@ class TestLinearization:
                 scale = np.abs(want).max()
                 worst = max(worst, np.abs(jac - want).max() / scale)
         assert worst <= 1e-6
+
+    def test_jacobian_catches_wrong_derivative(self):
+        # tau = r + r^3 with the wrong tau' = 1 + 2 r^2: A + |1+a1| B equals
+        # the law's own tau' identically, so only the Jacobian of the full
+        # velocity can see that derivative and evaluate disagree
+        law = TensionLaw(lambda r: np.asarray(r, float) + np.asarray(r, float) ** 3,
+                         lambda r: 1.0 + 2.0 * np.asarray(r, float) ** 2, "wrong-derivative")
+        K, M, delta, a1 = 8, 64, 1e-6, 0.1
+        coeffs = linear_coefficients(law, a1)
+        assert coeffs.tension_deriv == pytest.approx(1.0 + 2.0 * 1.1 ** 2, rel=1e-12)
+        base = np.zeros(2 * K + 1, dtype=complex)
+        base[K + 1] = a1
+        worst = 0.0
+        for k in (2, 3, -1):
+            e = np.zeros(2 * K + 1, dtype=complex)
+            e[K + k] = 1.0
+            fp = eval_nonlinearity(FourierCurve(base + delta * e), law, M).n_modes
+            fm = eval_nonlinearity(FourierCurve(base - delta * e), law, M).n_modes
+            want = linear_mode_rhs(e, coeffs, a1)
+            worst = max(worst, np.abs((fp - fm) / (2 * delta) - want).max() / np.abs(want).max())
+        assert worst > 1e-6
 
 
 class TestResidual:
