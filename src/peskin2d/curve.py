@@ -104,9 +104,11 @@ def fourier_samples(k, coeff, M):
 
     Scatters coeff into an M-point spectrum at k mod M and takes one
     inverse FFT; every spectral synthesis in the package goes through here.
+    coeff may be a stack (..., k.size): each row is transformed on its own,
+    bit for bit as a 1-d call.
     """
-    spec = np.zeros(M, dtype=complex)
-    spec[k % M] += coeff
+    spec = np.zeros(np.shape(coeff)[:-1] + (M,), dtype=complex)
+    spec.T[k % M] += coeff.T     # the last axis; an Ellipsis index is twice as slow
     return np.fft.ifft(spec) * M
 
 
@@ -116,8 +118,9 @@ def _modes_to_grid(modes, M):
 
 
 def _grid_to_modes(values, K):
-    M = values.size
-    return (np.fft.fft(values) / M)[wavenumbers(K) % M]
+    """Modes k = -K..K of grid values (..., M), row by row."""
+    M = values.shape[-1]
+    return (np.fft.fft(values) / M).take(wavenumbers(K) % M, axis=-1)
 
 
 def _check_grid(M, K):

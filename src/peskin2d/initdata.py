@@ -69,7 +69,10 @@ def make_corner(K, positions, strengths, amplitude, width=1.0):
     strengths = np.atleast_1d(np.asarray(strengths, dtype=float))
     if positions.size != strengths.size:
         raise ConfigError("positions and strengths must have equal length")
-    if positions.size != np.unique(np.round(positions % (2 * np.pi), 12)).size:
+    # sorted, equal positions are neighbours (np.unique would import numpy.ma);
+    # like np.unique, two NaNs count as equal
+    ring = np.sort(np.round(positions % (2 * np.pi), 12), axis=None)
+    if np.any(ring[1:] == ring[:-1]) or np.count_nonzero(np.isnan(ring)) > 1:
         raise ConfigError("tent positions must be distinct")
     if not (0 < width <= np.pi):
         raise ConfigError("tent width must lie in (0, pi]")

@@ -94,11 +94,30 @@ def jk_exact(k):
     return -abs(k) / 2.0
 
 
-def _check_pv_grid(k, M):
+PV_CHUNK = 16   # wavenumbers per pass of an array call
+
+
+def _pv_rule(k, M, pair):
+    """pair(k, a) summed over the M/2 pair nodes, over M, for an int k or an integer array.
+
+    The grid is checked once, against the first k in order that it is too
+    small for.  An array goes PV_CHUNK wavenumbers at a time; each row sums
+    on its own, bit for bit as an int call.
+    """
     if M % 2 != 0:
         raise ConfigError(f"quadrature size must be even, got {M}")
-    if M < 8 * abs(k) + 8:
-        raise ConfigError(f"quadrature size {M} too small for mode {k} (need >= {8 * abs(k) + 8})")
+    ks = np.asarray(k)
+    short = ks.ravel()[M < 8 * np.abs(ks.ravel()) + 8]
+    if short.size:
+        raise ConfigError(f"quadrature size {M} too small for mode {short[0]} "
+                          f"(need >= {8 * abs(short[0]) + 8})")
+    a = (2.0 * np.arange(M // 2) + 1.0) * np.pi / M
+    if ks.ndim == 0:
+        return complex(pair(k, a).sum() / M)
+    out = np.empty(ks.shape, dtype=complex)
+    for first in range(0, ks.size, PV_CHUNK):
+        out[first:first + PV_CHUNK] = pair(ks[first:first + PV_CHUNK, None], a).sum(axis=-1) / M
+    return out
 
 
 def pv_quadrature_ik(k, M):
@@ -106,11 +125,9 @@ def pv_quadrature_ik(k, M):
 
     Nodes are the odd multiples of pi/M; the symmetric pair f(a) + f(-a)
     is summed in its cancellation-free closed form -i sin((k+1/2)a)/sin(a/2).
+    k is an int (a complex is returned) or a 1-d integer array.
     """
-    _check_pv_grid(k, M)
-    a = (2.0 * np.arange(M // 2) + 1.0) * np.pi / M
-    pair = -1j * np.sin((k + 0.5) * a) / np.sin(a / 2.0)
-    return complex(pair.sum() / M)
+    return _pv_rule(k, M, lambda k, a: -1j * np.sin((k + 0.5) * a) / np.sin(a / 2.0))
 
 
 def pv_quadrature_jk(k, M):
@@ -118,11 +135,9 @@ def pv_quadrature_jk(k, M):
 
     Pair sum in closed form: -sin^2(ka/2) / sin^2(a/2), a trigonometric
     polynomial, so the rule is exact up to roundoff once M > 2|k|.
+    k is an int (a complex is returned) or a 1-d integer array.
     """
-    _check_pv_grid(k, M)
-    a = (2.0 * np.arange(M // 2) + 1.0) * np.pi / M
-    pair = -np.sin(k * a / 2.0) ** 2 / np.sin(a / 2.0) ** 2
-    return complex(pair.sum() / M)
+    return _pv_rule(k, M, lambda k, a: -np.sin(k * a / 2.0) ** 2 / np.sin(a / 2.0) ** 2)
 
 
 # ---------------------------------------------------------------------------

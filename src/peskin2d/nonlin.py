@@ -44,6 +44,17 @@ passes run with a one-row ufunc buffer, so numpy reads strided and
 broadcast operands in place instead of copying them.  Row sums are
 numpy reductions in a fixed order, not BLAS calls, so the result does
 not depend on the BLAS thread count.
+
+The evaluation also takes a stack of curves, modes (B, 2K+1), for
+eval_nonlinearity_stack and the finite-difference Jacobian of
+jacobian_errors.  Every array gains a leading stack axis, and each row
+goes through the same operations in the same order as that curve on its
+own, so a stack equals the loop of single evaluations bit for bit.  A
+stack runs STACK_CHUNK curves at a time, and a tile holds the same
+TILE_ROWS // B rows of each of the chunk's B curves in the same scratch:
+no tile grows, and a chunk's O(B M) arrays stay at STACK_CHUNK x M.  A
+single curve keeps no stack axis, and its tiles are TILE_ROWS rows as
+before.
 """
 
 import contextlib
@@ -54,13 +65,14 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .curve import _grid_to_modes, derivative, fourier_samples, half_kernel, split, wavenumbers
+from .curve import _grid_to_modes, fourier_samples, half_kernel, split, wavenumbers
 from .errors import ConfigError, GeometryError, StepRejected
 from .linear import pair_apply, pair_layout, pair_matrices, pair_modes
 from .tension import linear_coefficients, small_t
 
 CHORD_ARC_MIN = 0.1
 TILE_ROWS = 32
+STACK_CHUNK = 4      # curves per pass of a stack, at most TILE_ROWS
 
 
 @dataclass(frozen=True)
@@ -116,44 +128,106 @@ def _row_buffer(M):
 
 
 def _values_on(modes, M, shift):
-    """sum a_k e^{ik(s + shift)} on the M grid via padded FFT."""
-    k = wavenumbers((modes.size - 1) // 2)
+    """sum a_k e^{ik(s + shift)} on the M grid via padded FFT, for modes (..., 2K+1)."""
+    k = wavenumbers((modes.shape[-1] - 1) // 2)
     return fourier_samples(k, modes * np.exp(1j * k * shift), M)
 
 
 def _alpha_rows(values, wrap_sign=1.0):
-    """Zero-copy M x M view of offset-node values at r = s_j - alpha_q.
+    """Zero-copy (..., M, M) view of offset-node values at r = s_j - alpha_q.
 
-    Entry [j, q] is values[(j - q - 1) mod M], times wrap_sign where
-    j <= q (there s_j - alpha_q = r_p - 2 pi).  It is a sliding window
-    over the reversed, doubled array, read with its rows flipped.
+    Entry [..., j, q] is values[..., (j - q - 1) mod M], times wrap_sign
+    where j <= q (there s_j - alpha_q = r_p - 2 pi).  Each row of values
+    gets a sliding window over its reversed, doubled array, read with its
+    rows flipped.
     """
-    M = values.size
-    doubled = np.concatenate((wrap_sign * values, values))[-2::-1].copy()
-    return sliding_window_view(doubled, M)[::-1]
+    M = values.shape[-1]
+    doubled = np.concatenate((wrap_sign * values, values), axis=-1)[..., -2::-1].copy()
+    return sliding_window_view(doubled, M, axis=-1)[..., ::-1, :]
+
+
+def _tile_views(lead, M):
+    """The thread's _tile_buffers as (*lead, TILE_ROWS // B, M) arrays.
+
+    lead is () for one curve, which takes the scratch as it is, and (B,)
+    for a stack of B <= TILE_ROWS curves: a tile holds the same rows of
+    each curve.  A short last tile takes the leading [..., :n, :] rows.
+    """
+    buffers = _tile_buffers(TILE_ROWS, M, threading.get_ident())
+    if not lead:
+        return buffers
+    height = TILE_ROWS // lead[0]
+    return tuple(a[:lead[0] * height].reshape(lead[0], height, M) for a in buffers)
 
 
 def _chord_tiles(xs, xr, M):
     """Yield (rows, b, |b|^2) tile by tile, b = e^{is/2} (1 + i X~).
 
-    b and |b|^2 live in the thread's _tile_buffers scratch: they are valid
-    only until the next tile is drawn, and one thread must not interleave
-    two scans at the same M.
+    xs and xr are (M,) for one curve or (B, M) for a stack.  b and |b|^2
+    live in the thread's tile scratch (_tile_views): they are valid only
+    until the next tile is drawn, and one thread must not interleave two
+    scans at the same M.
     """
     exp_half_s, c, _, i_exp_half_neg_r, _ = _workspace(M)
-    b_tile, _, abs2_tile, tmp_tile = _tile_buffers(TILE_ROWS, M, threading.get_ident())
+    b_tile, _, abs2_tile, tmp_tile = _tile_views(xs.shape[:-1], M)
     xr_rows = _alpha_rows(xr)
     phase_rows = _alpha_rows(i_exp_half_neg_r, -1.0)
-    for start in range(0, M, TILE_ROWS):
-        rows = slice(start, min(start + TILE_ROWS, M))
+    height = b_tile.shape[-2]
+    for start in range(0, M, height):
+        rows = slice(start, min(start + height, M))
         n = rows.stop - start
-        b = np.subtract(xr_rows[rows], xs[rows, None], out=b_tile[:n])
+        b = np.subtract(xr_rows[..., rows, :], xs[..., rows, None], out=b_tile[..., :n, :])
         b *= phase_rows[rows]
         b *= c
         b += exp_half_s[rows, None]
-        abs2 = np.square(b.real, out=abs2_tile[:n])
-        abs2 += np.square(b.imag, out=tmp_tile[:n])
+        abs2 = np.square(b.real, out=abs2_tile[..., :n, :])
+        abs2 += np.square(b.imag, out=tmp_tile[..., :n, :])
         yield rows, b, abs2
+
+
+def _grid_values(modes, law, M):
+    """Velocity on the grid s_j, (..., M), of the curve or stack of modes (..., 2K+1)."""
+    K = (modes.shape[-1] - 1) // 2
+    if M % 2 != 0 or M < 2 * K + 2:
+        raise ConfigError(f"quadrature size {M} invalid for K={K}")
+    bad = np.count_nonzero(~np.isfinite(modes))
+    if bad:
+        # NaN compares False against every guard below
+        raise StepRejected(f"{bad} of {modes.size} modes are non-finite "
+                           "on entry to the boundary integral")
+    exp_half_s, _, conj_w, _, exp_r = _workspace(M)
+
+    xs = _values_on(modes, M, 0.0)
+    xr = _values_on(modes, M, np.pi / M)
+    g = 1.0 - 1j * np.conj(exp_r) * _values_on(1j * wavenumbers(K) * modes, M, np.pi / M)
+    # small_t checks the stretch against the law before g^2 can overflow
+    conj_h_rows = _alpha_rows(small_t(law, np.abs(g)) * np.conj(exp_r * g * g))
+
+    # the chord-arc minimum covers every tile: after a violation the
+    # scan goes on, but the integrand is skipped
+    min2 = np.inf
+    row_sums = np.empty(modes.shape[:-1] + (M,), dtype=complex)
+    _, b_sq_tile, _, tmp_tile = _tile_views(modes.shape[:-1], M)
+    with _row_buffer(M):
+        for rows, b, abs2 in _chord_tiles(xs, xr, M):
+            min2 = min(min2, float(abs2.min()))
+            if min2 <= CHORD_ARC_MIN ** 2:
+                continue
+            n = b.shape[-2]
+            # rho = Re[H conj(b)^2] / |b|^4 = Re[conj(H) b^2] / |b|^4, written
+            # contiguously: b *= rho is a third faster than with a strided rho
+            b_sq = np.multiply(b, b, out=b_sq_tile[..., :n, :])
+            b_sq *= conj_h_rows[..., rows, :]
+            abs4 = np.multiply(abs2, abs2, out=tmp_tile[..., :n, :])
+            rho = np.divide(b_sq.real, abs4, out=abs4)
+            b *= rho
+            b *= conj_w
+            row_sums[..., rows] = b.sum(axis=-1)
+    if min2 <= CHORD_ARC_MIN ** 2:
+        raise GeometryError(
+            f"chord-arc ratio {np.sqrt(min2):.4g} <= {CHORD_ARC_MIN}: "
+            "curve too close to self-intersection")
+    return (-1j / (2.0 * M)) * exp_half_s * row_sums
 
 
 def eval_nonlinearity(curve, law, M):
@@ -165,51 +239,26 @@ def eval_nonlinearity(curve, law, M):
     stretch |XX'| must stay inside the law's validity interval (else
     TensionDomainError).  Each thread has its own tile scratch.
     """
-    K = curve.K
-    if M % 2 != 0 or M < 2 * K + 2:
-        raise ConfigError(f"quadrature size {M} invalid for K={K}")
-    bad = np.count_nonzero(~np.isfinite(curve.modes))
-    if bad:
-        # NaN compares False against every guard below
-        raise StepRejected(f"{bad} of {curve.modes.size} modes are non-finite "
-                           "on entry to the boundary integral")
-    exp_half_s, _, conj_w, _, exp_r = _workspace(M)
-
-    xs = _values_on(curve.modes, M, 0.0)
-    xr = _values_on(curve.modes, M, np.pi / M)
-    dxr = _values_on(derivative(curve), M, np.pi / M)
-
-    g = 1.0 - 1j * np.conj(exp_r) * dxr
-    # small_t checks the stretch against the law before g^2 can overflow
-    conj_h_rows = _alpha_rows(small_t(law, np.abs(g)) * np.conj(exp_r * g * g))
-
-    # the chord-arc minimum covers every tile: after a violation the
-    # scan goes on, but the integrand is skipped
-    min2 = np.inf
-    row_sums = np.empty(M, dtype=complex)
-    _, b_sq_tile, _, tmp_tile = _tile_buffers(TILE_ROWS, M, threading.get_ident())
-    with _row_buffer(M):
-        for rows, b, abs2 in _chord_tiles(xs, xr, M):
-            min2 = min(min2, float(abs2.min()))
-            if min2 <= CHORD_ARC_MIN ** 2:
-                continue
-            n = len(b)
-            # rho = Re[H conj(b)^2] / |b|^4 = Re[conj(H) b^2] / |b|^4, written
-            # contiguously: b *= rho is a third faster than with a strided rho
-            b_sq = np.multiply(b, b, out=b_sq_tile[:n])
-            b_sq *= conj_h_rows[rows]
-            abs4 = np.multiply(abs2, abs2, out=tmp_tile[:n])
-            rho = np.divide(b_sq.real, abs4, out=abs4)
-            b *= rho
-            b *= conj_w
-            row_sums[rows] = b.sum(axis=1)
-    if min2 <= CHORD_ARC_MIN ** 2:
-        raise GeometryError(
-            f"chord-arc ratio {np.sqrt(min2):.4g} <= {CHORD_ARC_MIN}: "
-            "curve too close to self-intersection")
-    grid_values = (-1j / (2.0 * M)) * exp_half_s * row_sums
-    return NonlinearityEvaluation(n_modes=_grid_to_modes(grid_values, K),
+    grid_values = _grid_values(curve.modes, law, M)
+    return NonlinearityEvaluation(n_modes=_grid_to_modes(grid_values, curve.K),
                                   grid_values=grid_values)
+
+
+def eval_nonlinearity_stack(modes, law, M):
+    """Velocity modes (B, 2K+1) of every curve in a (B, 2K+1) stack of modes.
+
+    Row i is eval_nonlinearity(FourierCurve(modes[i]), law, M).n_modes bit
+    for bit.  The stack runs STACK_CHUNK curves at a time, so its memory
+    beyond the output does not grow with B.  A stack with one failing
+    curve raises the class of error that curve raises on its own.
+    """
+    modes = np.asarray(modes, dtype=complex)
+    K = (modes.shape[-1] - 1) // 2
+    out = np.empty_like(modes)
+    for first in range(0, len(modes), STACK_CHUNK):
+        chunk = slice(first, first + STACK_CHUNK)
+        out[chunk] = _grid_to_modes(_grid_values(modes[chunk], law, M), K)
+    return out
 
 
 def chord_arc_ratio(curve, M=None):
@@ -232,12 +281,38 @@ def linear_mode_rhs(y_modes, coeffs, a1):
 
     with c_0 = c_1 = 0 and no partner beyond |k| <= K.  The coupling sign
     is pinned down by the decoupled pair systems and confirmed by the
-    finite-difference Jacobian of the full velocity, which verify-
-    linearization and the test suite check to 1e-6 relative.
+    finite-difference Jacobian of the full velocity (jacobian_errors),
+    which verify-linearization and the test suite check to 1e-6 relative.
+    y_modes may be a stack (..., 2K+1).
     """
     y = np.asarray(y_modes, dtype=complex)
-    K = (y.size - 1) // 2
+    K = (y.shape[-1] - 1) // 2
     return pair_modes(pair_apply(pair_matrices(pair_layout(K)[0], coeffs, a1, K), y))
+
+
+def jacobian_errors(law, a1, k_max, delta, M):
+    """Relative error of the finite-difference Jacobian of the velocity, per direction.
+
+    About the circle (1 + a1) e^{is} at K = k_max + 2, each direction e is
+    e_k or i e_k (in that order) for k = -k_max..k_max other than the
+    frozen 0 and 1.  Its error is max |J e - c| / max |c| over the modes,
+    with J e = (N(X + delta e) - N(X - delta e)) / (2 delta) from
+    eval_nonlinearity at quadrature size M and c = linear_mode_rhs(e).  All
+    perturbed curves go through one stacked evaluation, and G is applied to
+    every direction at once.
+    """
+    coeffs = linear_coefficients(law, a1)
+    K = k_max + 2
+    ks = np.array([k for k in range(-k_max, k_max + 1) if k not in (0, 1)])
+    dirs = np.zeros((2 * ks.size, 2 * K + 1), dtype=complex)
+    dirs[np.arange(2 * ks.size), np.repeat(K + ks, 2)] = np.tile([1.0, 1j], ks.size)
+    base = np.zeros(2 * K + 1, dtype=complex)
+    base[K + 1] = a1
+    n = eval_nonlinearity_stack(np.concatenate((base + delta * dirs, base - delta * dirs)),
+                                law, M)
+    jac = (n[:len(dirs)] - n[len(dirs):]) / (2.0 * delta)
+    c = linear_mode_rhs(dirs, coeffs, a1)
+    return np.abs(jac - c).max(axis=1) / np.abs(c).max(axis=1)
 
 
 def eval_linear_part(curve_split, law):

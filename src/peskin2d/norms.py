@@ -12,6 +12,8 @@ so a single mode e^{iks} has L^2 norm sqrt(2 pi).  The diagnostics:
     z2_weight(c, t)    adds the short-time factor (2^n t)^{-1/3} (t > 0)
     wiener_snapshot    weighted l^1 of coefficients with dyadic shells
     n_norm             the sequence-space counterpart over sampled times
+    norm_table         s, z1, z2 and w of a stack of snapshots, row for row
+                       norm_report's, a chunk of snapshots per pass
 
 Block weights come from the same dyadic bumps as the kernel module, so
 the partition of unity holds at coefficient level: the blocks plus the
@@ -91,10 +93,14 @@ def l2_norm(c):
 
 def linf_norm(c):
     """Sup norm of the synthesized function on a grid 8 times oversampled."""
-    c = _as_coeffs(c)
-    K = (c.size - 1) // 2
+    return float(_sup(_as_coeffs(c)))
+
+
+def _sup(c):
+    """linf_norm of each row of a coefficient stack (..., 2K+1)."""
+    K = (c.shape[-1] - 1) // 2
     M = max(64, 8 * max(2 * K, 1))
-    return float(np.abs(fourier_samples(wavenumbers(K), c, M)).max())
+    return np.abs(fourier_samples(wavenumbers(K), c, M)).max(axis=-1)
 
 
 def deriv_coeffs(c):
@@ -104,16 +110,30 @@ def deriv_coeffs(c):
 
 def block_l2_profile(c):
     """2^{3n/2} |P_n f|_L2 for every block; the sup is the dyadic half of s_norm."""
-    c = _as_coeffs(c)
-    K = (c.size - 1) // 2
-    return np.array([2.0 ** (1.5 * n) * l2_norm(lp_project(c, n))
-                     for n in range(n_blocks(K))])
+    return _profile(_as_coeffs(c))
+
+
+@lru_cache(maxsize=64)
+def _profile_factors(K):
+    """The block weights phi_n(k) stacked as (n_blocks(K), 2K+1), and 2^{3n/2} per block."""
+    weights = np.array([_block_weights(n, K) for n in range(n_blocks(K))])
+    scales = np.array([2.0 ** (1.5 * n) for n in range(n_blocks(K))])
+    weights.flags.writeable = scales.flags.writeable = False
+    return weights, scales
+
+
+def _profile(c):
+    """block_l2_profile of each row of a coefficient stack (..., 2K+1): the
+    l2_norm of every block, each a sum over its own row."""
+    weights, scales = _profile_factors((c.shape[-1] - 1) // 2)
+    return scales * np.sqrt(2.0 * np.pi * np.sum(np.abs(weights * c[..., None, :]) ** 2,
+                                                 axis=-1))
 
 
 def s_norm(c):
     """|f'|_Linf plus the sup over blocks of 2^{3n/2} |P_n f|_L2."""
     c = _as_coeffs(c)
-    return _s_from(block_l2_profile(c), linf_norm(deriv_coeffs(c)))
+    return float(_s_from(block_l2_profile(c), linf_norm(deriv_coeffs(c))))
 
 
 def z1_weight(c, t):
@@ -121,7 +141,7 @@ def z1_weight(c, t):
     if t < 0:
         raise ConfigError("z1 weight needs t >= 0")
     c = _as_coeffs(c)
-    return _z1_from(block_l2_profile(c), linf_norm(deriv_coeffs(c)), t)
+    return float(_z1_from(block_l2_profile(c), linf_norm(deriv_coeffs(c)), t))
 
 
 def z2_weight(c, t):
@@ -133,29 +153,33 @@ def z2_weight(c, t):
     """
     if t < 0:
         raise ConfigError("z2 weight needs t >= 0")
-    return _z2_from(block_l2_profile(_as_coeffs(c)), t)
+    return float(_z2_from(block_l2_profile(_as_coeffs(c)), t))
 
 
 # The three snapshots from the block profile prof and d_inf = |f'|_Linf.
+# Each takes rows: prof (..., n_blocks), d_inf and the times t (...).
 
 
 def _s_from(prof, d_inf):
-    return d_inf + float(prof.max(initial=0.0))
+    return d_inf + prof.max(axis=-1, initial=0.0)
 
 
 def _z1_from(prof, d_inf, t):
-    n = np.arange(prof.size)
-    weighted = (1.0 + 2.0 ** n * t) ** (2.0 / 3.0) * prof
-    return (1.0 + t) ** (2.0 / 3.0) * d_inf + float(weighted.max(initial=0.0))
+    t = np.asarray(t, dtype=float)
+    n = np.arange(prof.shape[-1])
+    weighted = (1.0 + 2.0 ** n * t[..., None]) ** (2.0 / 3.0) * prof
+    # Python's pow per time: numpy's vector pow may round differently
+    lead = np.reshape([(1.0 + x) ** (2.0 / 3.0) for x in t.ravel().tolist()], t.shape)
+    return lead * d_inf + weighted.max(axis=-1, initial=0.0)
 
 
 def _z2_from(prof, t):
-    if t == 0.0:
-        return 0.0 if float(prof.max(initial=0.0)) == 0.0 else float("inf")
-    n = np.arange(prof.size)
-    x = 2.0 ** n * t
-    weighted = x ** (-1.0 / 3.0) * (1.0 + x) * prof
-    return float(weighted.max(initial=0.0))
+    t = np.asarray(t, dtype=float)
+    x = 2.0 ** np.arange(prof.shape[-1]) * t[..., None]
+    with np.errstate(divide="ignore", invalid="ignore"):   # rows at t = 0, replaced below
+        weighted = x ** (-1.0 / 3.0) * (1.0 + x) * prof
+    at_zero = np.where(prof.max(axis=-1, initial=0.0) == 0.0, 0.0, np.inf)
+    return np.where(t == 0.0, at_zero, weighted.max(axis=-1, initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -177,24 +201,58 @@ def norm_report(c, t):
     if t < 0:
         raise ConfigError("norm report needs t >= 0")
     c = _as_coeffs(c)
-    prof = block_l2_profile(c)
-    d_inf = linf_norm(deriv_coeffs(c))
-    return NormReport(
-        s_norm=_s_from(prof, d_inf),
-        z1_snapshot=_z1_from(prof, d_inf, t),
-        z2_snapshot=_z2_from(prof, t),
-        w_snapshot=wiener_snapshot(c, t),
-        block_profile=prof)
+    s, z1, z2, w, prof = _diagnostics(c, t)
+    return NormReport(s_norm=float(s), z1_snapshot=float(z1), z2_snapshot=float(z2),
+                      w_snapshot=float(w), block_profile=prof)
+
+
+TABLE_CHUNK = 16
+
+
+def norm_table(snapshots, times):
+    """Rows [t, s_norm, z1, z2, w] of a (S, 2K+1) snapshot stack at S times.
+
+    Row i holds norm_report(snapshots[i], times[i]) bit for bit, as Python
+    floats.  The stack goes TABLE_CHUNK snapshots at a time, so the
+    |f'|_Linf grid never holds more than TABLE_CHUNK x 16K points.
+    """
+    snapshots = np.asarray(snapshots, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    if snapshots.ndim != 2 or snapshots.shape[1] % 2 == 0 or times.shape != snapshots.shape[:1]:
+        raise ConfigError("norm table needs a (S, 2K+1) snapshot stack of odd row length "
+                          "and one time per snapshot")
+    if np.any(times < 0):
+        raise ConfigError("norm report needs t >= 0")
+    rows = []
+    for first in range(0, len(times), TABLE_CHUNK):
+        t = times[first:first + TABLE_CHUNK]
+        columns = _diagnostics(snapshots[first:first + TABLE_CHUNK], t)[:4]
+        rows += [list(row) for row in zip(t.tolist(), *(col.tolist() for col in columns))]
+    return rows
+
+
+def _diagnostics(c, t):
+    """(s_norm, z1, z2, w, block profile) of each row of a coefficient stack at times t."""
+    k = wavenumbers((c.shape[-1] - 1) // 2)
+    prof = _profile(c)
+    d_inf = _sup(1j * k * c)
+    mag = np.abs(c) * np.abs(k)
+    return (_s_from(prof, d_inf), _z1_from(prof, d_inf, t), _z2_from(prof, t),
+            mag.sum(axis=-1) + _shell_sup(mag, t), prof)
 
 
 def _shell_sup(mag, t):
-    """sup over the dyadic shells |k| in [2^{m-1}, 2^{m+1}] of sum mag_k (1 + |k| t)^{2/3}."""
-    K = (mag.size - 1) // 2
-    k = np.abs(wavenumbers(K))
-    sup = 0.0
-    for m in range(n_blocks(K)):
+    """sup over the dyadic shells |k| in [2^{m-1}, 2^{m+1}] of sum mag_k (1 + |k| t)^{2/3}.
+
+    Per row of mag (..., 2K+1), at the times t (...).
+    """
+    t = np.asarray(t, dtype=float)
+    k = np.abs(wavenumbers((mag.shape[-1] - 1) // 2))
+    sup = np.zeros(t.shape)
+    for m in range(n_blocks((mag.shape[-1] - 1) // 2)):
         mask = (k >= 2.0 ** (m - 1)) & (k <= 2.0 ** (m + 1))
-        sup = max(sup, float(np.sum(mag[mask] * (1.0 + k[mask] * t) ** (2.0 / 3.0))))
+        shell = mag[..., mask] * (1.0 + k[mask] * t[..., None]) ** (2.0 / 3.0)
+        sup = np.maximum(sup, np.sum(shell, axis=-1))
     return sup
 
 
@@ -204,7 +262,7 @@ def wiener_snapshot(c, t):
         raise ConfigError("wiener weight needs t >= 0")
     c = _as_coeffs(c)
     mag = np.abs(c) * np.abs(wavenumbers((c.size - 1) // 2))
-    return float(mag.sum()) + _shell_sup(mag, t)
+    return float(mag.sum()) + float(_shell_sup(mag, t))
 
 
 def n_norm(c, times):
@@ -214,12 +272,10 @@ def n_norm(c, times):
     the shell term grows with t and the sup runs over the sampled times.
     """
     mag = np.abs(_as_coeffs(c))
-    shell_sup = 0.0
-    for t in np.atleast_1d(times):
-        if t < 0:
-            raise ConfigError("n_norm times must be >= 0")
-        shell_sup = max(shell_sup, _shell_sup(mag, t))
-    return float(mag.sum()) + shell_sup
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ConfigError("n_norm times must be >= 0")
+    return float(mag.sum()) + float(_shell_sup(mag, times).max(initial=0.0))
 
 
 def convolve_coeffs(a, b):

@@ -10,7 +10,6 @@ import sys
 import sysconfig
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -449,9 +448,9 @@ class TestVerifyLinearization:
 
     def test_nan_jacobian_fails(self, tmp_path, monkeypatch):
         # a non-finite error fails the check instead of vanishing inside max
-        import peskin2d.cli as cli
-        monkeypatch.setattr(cli, "eval_nonlinearity", lambda curve, law, M: SimpleNamespace(
-            n_modes=np.full(curve.modes.size, np.nan, dtype=complex)))
+        import peskin2d.nonlin as nonlin
+        monkeypatch.setattr(nonlin, "eval_nonlinearity_stack",
+                            lambda modes, law, M: np.full(modes.shape, np.nan, dtype=complex))
         cfg = write_config(tmp_path / "l.json", {"law": {"law": "hookean"}, "k_max": 2})
         out = str(tmp_path / "lin")
         assert main(["verify-linearization", "--config", cfg,
@@ -459,6 +458,36 @@ class TestVerifyLinearization:
         report = json.load(open(os.path.join(out, "linearization_report.json")))
         assert report["pass"] is False
         assert math.isnan(report["max_relative_jacobian_error"])
+
+    @pytest.mark.parametrize("config, code, words", [
+        ({"law": {"law": "cubic"}, "M": 33}, EXIT_CONFIG, ("M", "k_max 12", "33")),
+        ({"law": {"law": "cubic"}, "M": 28}, EXIT_CONFIG, ("M", ">= 2 (k_max + 2) + 2 = 30")),
+        ({"law": {"law": "cubic"}, "k_max": 2, "M": 6}, EXIT_CONFIG, ("M", "k_max 2")),
+        ({"law": {"law": "cubic"}, "a1": [1.5, 0.0]}, EXIT_TENSION_DOMAIN, ("stretch",)),
+    ], ids=["M-odd", "M-too-small", "M-too-small-k-max-2", "a1-stretch"])
+    def test_config_checked_before_out_is_created(self, tmp_path, capsys, config, code, words):
+        cfg = write_config(tmp_path / "l.json", config)
+        out = tmp_path / "lin"
+        assert main(["verify-linearization", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert all(word in err for word in words), err
+        assert "K=" not in err
+        assert not out.exists()
+
+    def test_report_independent_of_blas_threads(self, tmp_path):
+        cfg = write_config(tmp_path / "l.json", {"law": {"law": "cubic", "c": 1.0}})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "peskin2d.cli", "verify-linearization",
+                 "--config", cfg, "--out", str(out)],
+                env=src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            outputs.append([(out / name).read_bytes()
+                            for name in ("linearization_report.json", "manifest.json")])
+        assert outputs[0] == outputs[1]
 
     def test_broken_law_structural_report(self, tmp_path):
         cfg = write_config(tmp_path / "b.json",

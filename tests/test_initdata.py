@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -101,6 +107,41 @@ class TestCorner:
     def test_rejects_duplicate_positions(self):
         with pytest.raises(ConfigError):
             make_corner(32, [0.1, 0.1], [1.0, 1.0], 1e-2)
+
+    @pytest.mark.parametrize("positions, distinct", [
+        ([0.0, 2.0 * np.pi], False),            # the same angle mod 2 pi
+        ([1.0, 1.0 + 1e-14, 3.0], False),       # equal to 12 digits
+        ([1.0, 1.0 + 1e-9, 3.0], True),
+        ([3.0, 0.5, 2.0, 0.5], False),          # duplicates apart in the list
+        ([np.nan, 1.0], True),
+        ([np.nan, np.nan], False),              # np.unique counts NaNs as one
+    ])
+    def test_distinct_positions_as_np_unique_counts_them(self, positions, distinct):
+        rounded = np.round(np.asarray(positions) % (2 * np.pi), 12)
+        assert (np.unique(rounded).size == rounded.size) == distinct
+        if distinct:
+            make_corner(32, positions, np.ones(len(positions)), 1e-2)
+        else:
+            with pytest.raises(ConfigError, match="tent positions must be distinct"):
+                make_corner(32, positions, np.ones(len(positions)), 1e-2)
+
+    def test_corner_simulate_does_not_import_numpy_ma(self, tmp_path):
+        # np.unique imports numpy.ma, which costs 12-21 ms on every corner set-up
+        config = {"law": {"law": "cubic"}, "K": 16, "M": 64, "dt": 0.01, "t_end": 0.02,
+                  "initial_data": {"kind": "corner", "positions": [0.0, 1.9],
+                                   "strengths": [1.0, 0.7], "amplitude": 0.01}}
+        path = tmp_path / "corner.json"
+        path.write_text(json.dumps(config))
+        script = ("import sys; from peskin2d.cli import main; "
+                  f"code = main(['simulate', '--config', {str(path)!r}, '--out', "
+                  f"{str(tmp_path / 'out')!r}]); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
 
 class TestPolygonal:

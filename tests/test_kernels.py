@@ -38,6 +38,25 @@ class TestPvQuadrature:
         with pytest.raises(ConfigError):
             pv_quadrature_ik(10, 64)  # below 8|k|+8
 
+    @pytest.mark.parametrize("M", [1024, 1000])
+    def test_array_of_k_equals_int_calls(self, M):
+        # 129 wavenumbers: no multiple of PV_CHUNK
+        ks = np.arange(-64, 65)
+        for rule in (pv_quadrature_ik, pv_quadrature_jk):
+            got = rule(ks, M)
+            assert got.shape == ks.shape
+            assert got.tolist() == [rule(int(k), M) for k in ks]
+
+    @pytest.mark.parametrize("ks, M", [([3, -20, 40, 2], 64), ([0, 1], 63)])
+    def test_array_grid_check_is_the_loops_first_failure(self, ks, M):
+        for rule in (pv_quadrature_ik, pv_quadrature_jk):
+            with pytest.raises(ConfigError) as loop:
+                for k in ks:
+                    rule(k, M)
+            with pytest.raises(ConfigError) as array:
+                rule(np.array(ks), M)
+            assert str(array.value) == str(loop.value)
+
     @pytest.mark.parametrize("k", [-64, -17, -1, 0, 1, 23, 64])
     def test_full_family(self, k):
         assert abs(pv_quadrature_ik(k, 1024) - ik_exact(k)) < 1e-12

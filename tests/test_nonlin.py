@@ -9,6 +9,7 @@ from peskin2d import (FourierCurve, GeometryError, StepRejected,
                       eval_nonlinearity, eval_residual, hookean,
                       linear_coefficients, linear_mode_rhs, nonlin, split)
 from peskin2d.curve import wavenumbers
+from peskin2d.errors import ConfigError
 from peskin2d.nonlin import chord_arc_ratio
 
 from conftest import in_threads, random_y_modes
@@ -359,6 +360,98 @@ class TestTileBuffers:
         finally:
             tracemalloc.stop()
         assert peak < 0.3 * 2 ** 20, f"peak {peak / 2 ** 10:.0f} KiB"
+
+
+def random_stack(K, B, seed):
+    """B random curves, their amplitudes spread over two decades."""
+    rng = np.random.default_rng(seed)
+    return np.stack([random_y_modes(rng, K, amp=amp) for amp in np.geomspace(1e-3, 1e-1, B)])
+
+
+class TestStack:
+    # a stack runs STACK_CHUNK curves per pass, each tile holding the same
+    # rows of every curve of the chunk; row by row it is the one-curve call
+    @pytest.mark.parametrize("B", [1, 3, 11])
+    @pytest.mark.parametrize("chunk", [1, 3, nonlin.STACK_CHUNK])
+    def test_stack_equals_per_curve_loop(self, cubic_law, monkeypatch, B, chunk):
+        # M = 100 is no multiple of any tile height, so every chunk's last tile is short
+        K, M = 16, 100
+        modes = random_stack(K, B, seed=B)
+        monkeypatch.setattr(nonlin, "STACK_CHUNK", chunk)
+        got = nonlin.eval_nonlinearity_stack(modes, cubic_law, M)
+        for row, curve_modes in zip(got, modes):
+            want = eval_nonlinearity(FourierCurve(curve_modes), cubic_law, M).n_modes
+            assert np.array_equal(row, want)
+
+    @pytest.mark.parametrize("bad_modes, law, error", [
+        ({2: 0.55}, cubic(r_min=0.05, r_max=10.0), GeometryError),
+        ({2: 0.55}, cubic(), TensionDomainError),
+        ({2: 1e-3, 3: np.nan}, cubic(), StepRejected),
+    ], ids=["geometry", "stretch", "non-finite"])
+    @pytest.mark.parametrize("position", [0, 6, 10])
+    def test_one_bad_curve_raises_what_the_loop_raises(self, bad_modes, law, error, position):
+        bad = curve_with(8, bad_modes)
+        with pytest.raises(error):
+            eval_nonlinearity(bad, law, 64)
+        modes = random_stack(8, 11, seed=3)
+        modes[position] = bad.modes
+        with pytest.raises(error):
+            nonlin.eval_nonlinearity_stack(modes, law, 64)
+
+    @pytest.mark.parametrize("modes, law, M, error, message", [
+        ({3: np.nan}, cubic(), 64, StepRejected,
+         "1 of 17 modes are non-finite on entry to the boundary integral"),
+        ({}, cubic(), 17, ConfigError, "quadrature size 17 invalid for K=8"),
+        ({2: 0.55}, cubic(), 64, TensionDomainError,
+         "stretch in [0.112472, 2.09937] leaves the validity interval [0.5, 2.0] "
+         "of 'cubic(c=1.0)'"),
+        ({2: 0.55}, cubic(r_min=0.05, r_max=10.0), 64, GeometryError,
+         "chord-arc ratio 0.02525 <= 0.1: curve too close to self-intersection"),
+    ], ids=["non-finite", "grid", "stretch", "geometry"])
+    def test_one_curve_error_messages(self, modes, law, M, error, message):
+        with pytest.raises(error) as exc:
+            eval_nonlinearity(curve_with(8, modes), law, M)
+        assert str(exc.value) == message
+
+    def test_warm_stacked_call_allocates_less_than_two_tiles(self, hookean_law):
+        # the bound of test_warm_call_allocates_less_than_two_tiles: each
+        # chunk's O(STACK_CHUNK M) arrays stay far below a tile's scratch
+        K, M = 256, 1024
+        modes = random_stack(K, 11, seed=5)
+        nonlin.eval_nonlinearity_stack(modes, hookean_law, M)
+        tracemalloc.start()
+        try:
+            nonlin.eval_nonlinearity_stack(modes, hookean_law, M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * nonlin.TILE_ROWS * M * 16, f"peak {peak / 2 ** 10:.0f} KiB"
+
+    @pytest.mark.parametrize("law_fn", [hookean, cubic])
+    @pytest.mark.parametrize("a1", [0.0, 0.1 + 0.05j])
+    def test_jacobian_errors_equal_per_direction_loop(self, law_fn, a1):
+        # the loop verify-linearization ran before the stack: one pair of
+        # calls and one G per direction
+        law, k_max, delta, M = law_fn(), 5, 1e-6, 64
+        K = k_max + 2
+        coeffs = linear_coefficients(law, a1)
+        base = np.zeros(2 * K + 1, dtype=complex)
+        base[K + 1] = a1
+        want = []
+        for k in range(-k_max, k_max + 1):
+            if k in (0, 1):
+                continue
+            for phase in (1.0, 1j):
+                e = np.zeros(2 * K + 1, dtype=complex)
+                e[K + k] = phase
+                fp = eval_nonlinearity(FourierCurve(base + delta * e), law, M).n_modes
+                fm = eval_nonlinearity(FourierCurve(base - delta * e), law, M).n_modes
+                ck = linear_mode_rhs(e, coeffs, a1)
+                want.append(float(np.abs((fp - fm) / (2.0 * delta) - ck).max()
+                                  / np.abs(ck).max()))
+        got = nonlin.jacobian_errors(law, a1, k_max, delta, M)
+        assert np.array_equal(got, want)
+        assert got.max() <= 1e-6
 
 
 @contextlib.contextmanager

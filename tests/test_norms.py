@@ -49,6 +49,34 @@ class TestProjection:
         assert rep.w_snapshot == wiener_snapshot(c, t)
         assert np.array_equal(rep.block_profile, block_l2_profile(c))
 
+    def test_norm_table_equals_norm_report_row_by_row(self, rng):
+        # measure-norms writes the table with repr(): every value must be the
+        # report's to the bit, including z2 = inf at t = 0, and a Python float
+        from peskin2d.norms import TABLE_CHUNK, norm_report, norm_table
+        S = 2 * TABLE_CHUNK + 5
+        snaps = np.stack([random_y_modes(rng, 64, amp=a) for a in np.geomspace(1e-4, 1e-1, S)])
+        snaps[1] = 0.0
+        times = np.concatenate(([0.0, 0.0], np.cumsum(rng.uniform(0.001, 0.5, S - 2))))
+        table = norm_table(snaps, times)
+        assert len(table) == S
+        for row, c, t in zip(table, snaps, times):
+            rep = norm_report(c, t)
+            assert row == [t, rep.s_norm, rep.z1_snapshot, rep.z2_snapshot, rep.w_snapshot]
+            assert all(type(v) is float for v in row)
+        assert table[0][3] == float("inf") and table[1][3] == 0.0
+
+    @pytest.mark.parametrize("snaps, times", [
+        (np.zeros((3, 9)), [0.0, 0.1, -0.1]),
+        (np.zeros((3, 9)), [0.0, 0.1]),
+        (np.zeros((3, 8)), [0.0, 0.1, 0.2]),
+        (np.zeros(9), [0.0]),
+    ], ids=["negative-time", "times-short", "even-rows", "one-dimensional"])
+    def test_norm_table_rejects(self, snaps, times):
+        from peskin2d.errors import ConfigError
+        from peskin2d.norms import norm_table
+        with pytest.raises(ConfigError):
+            norm_table(snaps, times)
+
     def test_parseval_vs_grid_quadrature(self, rng):
         c = random_y_modes(rng, 16, amp=0.7)
         block = lp_project(c, 2)
