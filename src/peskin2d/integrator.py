@@ -45,7 +45,7 @@ _RUN_SCHEMA = {"law": ("object", REQUIRED), "initial_data": ("object", REQUIRED)
 class RunConfig:
     """Everything a run needs; from_dict reads it from a JSON-style mapping."""
     law: object
-    initial: object                  # InitialDataSpec or FourierCurve
+    initial: object                  # InitialDataSpec, or FourierCurve at t = 0
     K: int = 128
     M: int = None                    # default 4K
     dt: float = None                 # default 0.5 / fastest retained rate
@@ -166,6 +166,8 @@ def iter_run(cfg):
         curve = cfg.initial
         if curve.K != cfg.K:
             raise ConfigError("initial curve truncation differs from config K")
+        if curve.time != 0.0:
+            raise ConfigError(f"initial curve time must be 0, got {curve.time}")
     else:
         curve = cfg.initial.make(cfg.K)
 

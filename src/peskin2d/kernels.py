@@ -106,18 +106,16 @@ def _pv_rule(k, M, pair):
     """
     if M % 2 != 0:
         raise ConfigError(f"quadrature size must be even, got {M}")
-    ks = np.asarray(k)
-    short = ks.ravel()[M < 8 * np.abs(ks.ravel()) + 8]
+    ks = np.atleast_1d(k)
+    short = ks[M < 8 * np.abs(ks) + 8]
     if short.size:
         raise ConfigError(f"quadrature size {M} too small for mode {short[0]} "
                           f"(need >= {8 * abs(short[0]) + 8})")
     a = (2.0 * np.arange(M // 2) + 1.0) * np.pi / M
-    if ks.ndim == 0:
-        return complex(pair(k, a).sum() / M)
     out = np.empty(ks.shape, dtype=complex)
     for first in range(0, ks.size, PV_CHUNK):
         out[first:first + PV_CHUNK] = pair(ks[first:first + PV_CHUNK, None], a).sum(axis=-1) / M
-    return out
+    return out if np.ndim(k) else complex(out[0])
 
 
 def pv_quadrature_ik(k, M):
@@ -149,7 +147,6 @@ def _psi_support(n):
     """Frequencies and weights of psi_n: hat(psi_n)(k) = phi_{n+2}(k), zero at k = 1."""
     k = wavenumbers(2 ** (n + 3))
     w = phi_weight(n + 2, k)
-    w[k == 1] = 0.0  # excluded mode; vacuous here since phi_{n+2}(1) = 0
     keep = w != 0.0
     k, w = k[keep], w[keep]
     k.flags.writeable = False
@@ -178,23 +175,17 @@ def _clamped(a, n):
     return np.sign(a) * np.minimum(np.abs(a), 2.0 ** (-n))
 
 
-def l_tilde_kernel(n, s, alpha, min_form="clamped"):
+def l_tilde_kernel(n, s, alpha):
     """Modified kernel subtracting the first-order part of L_n.
 
     The correction factor multiplying psi_n'(s) is
-
-        half_kernel(alpha) * sgn(alpha) * min(|alpha|, 2^{-n})   ["clamped"]
-        half_kernel(alpha) * min(2^{-n}, alpha)                  ["literal"]
-
-    The two coincide for alpha > 0.  The clamped form is the one whose
-    L^1 size obeys min(2^{2n} |alpha|, 1/|alpha|) on both signs of alpha;
-    the literal signed form is kept for reporting.
+    half_kernel(alpha) * sgn(alpha) * min(|alpha|, 2^{-n}), whose L^1 size
+    obeys min(2^{2n} |alpha|, 1/|alpha|) on both signs of alpha.  For
+    alpha > 0 it equals the literal factor half_kernel(alpha) * min(2^{-n}, alpha).
     """
-    if min_form not in ("clamped", "literal"):
-        raise ConfigError(f"unknown min_form {min_form!r}")
     s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
-    factor = _clamped(alpha, n) if min_form == "clamped" else np.minimum(2.0 ** (-n), alpha)
-    out = l_kernel(n, s, alpha) - half_kernel(alpha) * factor * psi_n(n, s, order=1)
+    out = (l_kernel(n, s, alpha)
+           - half_kernel(alpha) * _clamped(alpha, n) * psi_n(n, s, order=1))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -258,23 +249,21 @@ def _chunk_scratch(samples, thread):
     return np.empty(samples, dtype=complex), np.empty(samples), np.empty(samples // 3)
 
 
-def _l1_rows(n, alphas, M, factors=None):
+def _l1_rows(n, alphas, M):
     """L^1 norms over s of L_n, L~_n and d_alpha L~_n, one value per alpha.
 
     Returns (|L_n|, |L~_n|, |d_a L~_n|), three arrays shaped like alphas.
-    L~_n uses the correction factors given (default: clamped); the
-    derivative is the clamped form by central differencing at alpha +- h
-    with h = 1e-5 max(|alpha|, 2^{-n}).  Each alpha needs the rows
-    psi_n(s_j - a) for a in {alpha, alpha + h, alpha - h}; they come from
-    one batched real inverse FFT per chunk of _CHUNK_SAMPLES samples, and
-    every norm is summed in real arithmetic: the half kernel is a scalar
-    factor per row.  Every temporary of a chunk's size lives in
-    _chunk_scratch, so a warm call allocates only per-alpha vectors and
-    the rows x |kp| phases.
+    L~_n uses the clamped correction factor, and its derivative is a
+    central difference at alpha +- h with h = 1e-5 max(|alpha|, 2^{-n}).
+    Each alpha needs the rows psi_n(s_j - a) for a in {alpha, alpha + h,
+    alpha - h}; they come from one batched real inverse FFT per chunk of
+    _CHUNK_SAMPLES samples, and every norm is summed in real arithmetic:
+    the half kernel is a scalar factor per row.  Every temporary of a
+    chunk's size lives in _chunk_scratch, so a warm call allocates only
+    per-alpha vectors and the rows x |kp| phases.
     """
     alphas = np.asarray(alphas, dtype=float)
-    if factors is None:
-        factors = _clamped(alphas, n)
+    factors = _clamped(alphas, n)
     k, w = _psi_support(n)
     kp, wp = k[k > 0], w[k > 0]
     vals, dvals = _psi_grid(n, M)
@@ -311,16 +300,14 @@ def _l1_rows(n, alphas, M, factors=None):
     return out * (2.0 * np.pi / M)
 
 
-def _l1_at(n, alpha, factor=None):
+def _l1_at(n, alpha):
     """The three norms at one alpha, evaluated at |alpha|.
 
     Reflecting s -> -s maps psi_n(s + |alpha|) to psi_n(s - |alpha|) and
-    psi_n' to -psi_n', so every norm at alpha < 0 equals the one at |alpha|
-    with the correction factor times sgn(alpha).
+    psi_n' to -psi_n', and the clamped correction factor is odd in alpha,
+    so every norm at alpha < 0 equals the one at |alpha|.
     """
-    a = abs(float(alpha))
-    factors = None if factor is None else np.array([np.sign(alpha) * factor])
-    return _l1_rows(n, np.array([a]), _grid_size(n), factors)[:, 0]
+    return _l1_rows(n, np.array([abs(float(alpha))]), _grid_size(n))[:, 0]
 
 
 def l_kernel_l1(n, alpha):
@@ -328,15 +315,9 @@ def l_kernel_l1(n, alpha):
     return float(_l1_at(n, alpha)[0])
 
 
-def l_tilde_l1(n, alpha, min_form="clamped"):
+def l_tilde_l1(n, alpha):
     """Integral over s of |L~_n(s, alpha)|."""
-    if min_form == "clamped":
-        factor = None
-    elif min_form == "literal":
-        factor = min(2.0 ** (-n), alpha)
-    else:
-        raise ConfigError(f"unknown min_form {min_form!r}")
-    return float(_l1_at(n, alpha, factor)[1])
+    return float(_l1_at(n, alpha)[1])
 
 
 def l_tilde_dalpha_l1(n, alpha):
@@ -372,8 +353,9 @@ def fit_kernel_bounds(n_list=range(7), alphas=None, oversample=8):
 
     Every norm is even in alpha, so the lattice is folded to the distinct
     |alpha| and each block n takes one batched _l1_rows call.  The literal
-    form coincides with the clamped one for alpha > 0, so its constant is
-    the clamped ratio over the |alpha| that occur with a positive sign.
+    factor min(2^{-n}, alpha) equals the clamped one for alpha > 0, so its
+    constant is the clamped ratio over the |alpha| that occur with a
+    positive sign.
     """
     if alphas is None:
         alphas = dyadic_alphas(4)

@@ -45,16 +45,14 @@ broadcast operands in place instead of copying them.  Row sums are
 numpy reductions in a fixed order, not BLAS calls, so the result does
 not depend on the BLAS thread count.
 
-The evaluation also takes a stack of curves, modes (B, 2K+1), for
-eval_nonlinearity_stack and the finite-difference Jacobian of
-jacobian_errors.  Every array gains a leading stack axis, and each row
-goes through the same operations in the same order as that curve on its
-own, so a stack equals the loop of single evaluations bit for bit.  A
-stack runs STACK_CHUNK curves at a time, and a tile holds the same
-TILE_ROWS // B rows of each of the chunk's B curves in the same scratch:
-no tile grows, and a chunk's O(B M) arrays stay at STACK_CHUNK x M.  A
-single curve keeps no stack axis, and its tiles are TILE_ROWS rows as
-before.
+Every evaluation runs on a stack of curves, modes (B, 2K+1): one curve
+is a stack of one, and eval_nonlinearity_stack and the finite-difference
+Jacobian of jacobian_errors pass more.  Each row goes through the same
+operations in the same order as that curve on its own, so a stack equals
+the loop of single evaluations bit for bit.  A stack runs STACK_CHUNK
+curves at a time, and a tile holds the same TILE_ROWS // B rows of each
+of the chunk's B curves in the same scratch: no tile grows, and a
+chunk's O(B M) arrays stay at STACK_CHUNK x M.
 """
 
 import contextlib
@@ -146,47 +144,44 @@ def _alpha_rows(values, wrap_sign=1.0):
     return sliding_window_view(doubled, M, axis=-1)[..., ::-1, :]
 
 
-def _tile_views(lead, M):
-    """The thread's _tile_buffers as (*lead, TILE_ROWS // B, M) arrays.
+def _tile_views(B, M):
+    """The thread's _tile_buffers as (B, TILE_ROWS // B, M) arrays, for B <= TILE_ROWS.
 
-    lead is () for one curve, which takes the scratch as it is, and (B,)
-    for a stack of B <= TILE_ROWS curves: a tile holds the same rows of
-    each curve.  A short last tile takes the leading [..., :n, :] rows.
+    A tile holds the same rows of each of the B curves.  A short last
+    tile takes the leading [:, :n, :] rows.
     """
-    buffers = _tile_buffers(TILE_ROWS, M, threading.get_ident())
-    if not lead:
-        return buffers
-    height = TILE_ROWS // lead[0]
-    return tuple(a[:lead[0] * height].reshape(lead[0], height, M) for a in buffers)
+    height = TILE_ROWS // B
+    return tuple(a[:B * height].reshape(B, height, M)
+                 for a in _tile_buffers(TILE_ROWS, M, threading.get_ident()))
 
 
 def _chord_tiles(xs, xr, M):
     """Yield (rows, b, |b|^2) tile by tile, b = e^{is/2} (1 + i X~).
 
-    xs and xr are (M,) for one curve or (B, M) for a stack.  b and |b|^2
+    xs and xr are (B, M), one row per curve of the stack.  b and |b|^2
     live in the thread's tile scratch (_tile_views): they are valid only
     until the next tile is drawn, and one thread must not interleave two
     scans at the same M.
     """
     exp_half_s, c, _, i_exp_half_neg_r, _ = _workspace(M)
-    b_tile, _, abs2_tile, tmp_tile = _tile_views(xs.shape[:-1], M)
+    b_tile, _, abs2_tile, tmp_tile = _tile_views(len(xs), M)
     xr_rows = _alpha_rows(xr)
     phase_rows = _alpha_rows(i_exp_half_neg_r, -1.0)
     height = b_tile.shape[-2]
     for start in range(0, M, height):
         rows = slice(start, min(start + height, M))
         n = rows.stop - start
-        b = np.subtract(xr_rows[..., rows, :], xs[..., rows, None], out=b_tile[..., :n, :])
+        b = np.subtract(xr_rows[:, rows, :], xs[:, rows, None], out=b_tile[:, :n, :])
         b *= phase_rows[rows]
         b *= c
         b += exp_half_s[rows, None]
-        abs2 = np.square(b.real, out=abs2_tile[..., :n, :])
-        abs2 += np.square(b.imag, out=tmp_tile[..., :n, :])
+        abs2 = np.square(b.real, out=abs2_tile[:, :n, :])
+        abs2 += np.square(b.imag, out=tmp_tile[:, :n, :])
         yield rows, b, abs2
 
 
 def _grid_values(modes, law, M):
-    """Velocity on the grid s_j, (..., M), of the curve or stack of modes (..., 2K+1)."""
+    """Velocity on the grid s_j, (B, M), of the stack of modes (B, 2K+1)."""
     K = (modes.shape[-1] - 1) // 2
     if M % 2 != 0 or M < 2 * K + 2:
         raise ConfigError(f"quadrature size {M} invalid for K={K}")
@@ -206,8 +201,8 @@ def _grid_values(modes, law, M):
     # the chord-arc minimum covers every tile: after a violation the
     # scan goes on, but the integrand is skipped
     min2 = np.inf
-    row_sums = np.empty(modes.shape[:-1] + (M,), dtype=complex)
-    _, b_sq_tile, _, tmp_tile = _tile_views(modes.shape[:-1], M)
+    row_sums = np.empty((len(modes), M), dtype=complex)
+    _, b_sq_tile, _, tmp_tile = _tile_views(len(modes), M)
     with _row_buffer(M):
         for rows, b, abs2 in _chord_tiles(xs, xr, M):
             min2 = min(min2, float(abs2.min()))
@@ -216,13 +211,13 @@ def _grid_values(modes, law, M):
             n = b.shape[-2]
             # rho = Re[H conj(b)^2] / |b|^4 = Re[conj(H) b^2] / |b|^4, written
             # contiguously: b *= rho is a third faster than with a strided rho
-            b_sq = np.multiply(b, b, out=b_sq_tile[..., :n, :])
-            b_sq *= conj_h_rows[..., rows, :]
-            abs4 = np.multiply(abs2, abs2, out=tmp_tile[..., :n, :])
+            b_sq = np.multiply(b, b, out=b_sq_tile[:, :n, :])
+            b_sq *= conj_h_rows[:, rows, :]
+            abs4 = np.multiply(abs2, abs2, out=tmp_tile[:, :n, :])
             rho = np.divide(b_sq.real, abs4, out=abs4)
             b *= rho
             b *= conj_w
-            row_sums[..., rows] = b.sum(axis=-1)
+            row_sums[:, rows] = b.sum(axis=-1)
     if min2 <= CHORD_ARC_MIN ** 2:
         raise GeometryError(
             f"chord-arc ratio {np.sqrt(min2):.4g} <= {CHORD_ARC_MIN}: "
@@ -239,7 +234,7 @@ def eval_nonlinearity(curve, law, M):
     stretch |XX'| must stay inside the law's validity interval (else
     TensionDomainError).  Each thread has its own tile scratch.
     """
-    grid_values = _grid_values(curve.modes, law, M)
+    grid_values = _grid_values(curve.modes[None], law, M)[0]
     return NonlinearityEvaluation(n_modes=_grid_to_modes(grid_values, curve.K),
                                   grid_values=grid_values)
 
@@ -264,8 +259,8 @@ def eval_nonlinearity_stack(modes, law, M):
 def chord_arc_ratio(curve, M=None):
     """Minimum sampled chord-arc ratio |XX(r)-XX(s)| / |2 sin((s-r)/2)|."""
     M = M if M is not None else max(64, 4 * curve.K)
-    xs = _values_on(curve.modes, M, 0.0)
-    xr = _values_on(curve.modes, M, np.pi / M)
+    xs = _values_on(curve.modes[None], M, 0.0)
+    xr = _values_on(curve.modes[None], M, np.pi / M)
     with _row_buffer(M):
         min2 = min(float(abs2.min()) for _, _, abs2 in _chord_tiles(xs, xr, M))
     return float(np.sqrt(min2))

@@ -360,6 +360,14 @@ class TestConfig:
                      {"dt": 1e-3, "t_end": 1.0, "snapshot_every": 1e308}):
             assert next(iter_run(self._k8(**keys)))[1]["t"] == 0.0
 
+    def test_initial_curve_time_must_be_zero(self, cubic_law):
+        # snapshots are stamped i * dt, so a curve at t = 5 gave the
+        # times [5.0, 0.1, 0.2, ...]
+        late = FourierCurve(make_single_mode(8, 2, 0.01).modes, 5.0)
+        cfg = config(cubic_law, late, M=32, dt=0.1, t_end=0.5, snapshot_every=0.1)
+        with pytest.raises(ConfigError, match="initial curve time must be 0, got 5.0"):
+            run(cfg)
+
     def test_m_floor(self):
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"law": {"law": "cubic"},

@@ -7,7 +7,7 @@ from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel,
                       l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
                       pv_quadrature_jk)
 from peskin2d import kernels
-from peskin2d.curve import fourier_samples
+from peskin2d.curve import fourier_samples, half_kernel
 from conftest import in_threads
 from peskin2d.kernels import (_grid_size, _l1_rows, _psi_support, dyadic_alphas,
                               fit_kernel_bounds, l_kernel_l1,
@@ -183,10 +183,12 @@ class TestLTilde:
             assert abs(l_tilde_kernel(n, s, a) - expect) < 1e-12
 
     def test_literal_form_matches_for_positive_alpha(self):
+        # fit_kernel_bounds' l_tilde_bound_literal rests on this identity
         n, s = 3, 2.2
         for a in (0.01, 0.3, 1.0):
-            assert l_tilde_kernel(n, s, a) == pytest.approx(
-                l_tilde_kernel(n, s, a, min_form="literal"), rel=1e-13)
+            literal = l_kernel(n, s, a) - half_kernel(a) * min(2.0 ** -n, a) \
+                * psi_n(n, s, order=1)
+            assert l_tilde_kernel(n, s, a) == pytest.approx(literal, rel=1e-13)
 
     def test_small_alpha_bound(self):
         # |L~_n|_L1 <= C 2^{2n} |alpha| in the regime 2^n |alpha| <= 1/4,
@@ -225,7 +227,7 @@ class TestBoundStability:
 
 
 def _complex_lattice_norms(n, alpha, oversample=8, h_rel=1e-5):
-    """|L_n|, clamped |L~_n|, literal |L~_n| and |d_a L~_n| the direct way.
+    """|L_n|, clamped |L~_n| and |d_a L~_n| the direct way.
 
     Each field is a complex inverse FFT of w e^{-ik alpha}, multiplied by
     the complex half kernel; the norm is np.abs(...).sum() on the grid.
@@ -247,8 +249,7 @@ def _complex_lattice_norms(n, alpha, oversample=8, h_rel=1e-5):
 
     h = h_rel * max(abs(alpha), 2.0 ** -n)
     deriv = (field(alpha + h, clamped(alpha + h)) - field(alpha - h, clamped(alpha - h))) / (2 * h)
-    return (norm(field(alpha, 0.0)), norm(field(alpha, clamped(alpha))),
-            norm(field(alpha, min(2.0 ** -n, alpha))), norm(deriv))
+    return norm(field(alpha, 0.0)), norm(field(alpha, clamped(alpha))), norm(deriv)
 
 
 def _lattice_mags(n):
@@ -281,11 +282,9 @@ class TestBatchedLattice:
             # cancellation-free sum at n = 0, alpha = 2^-10)
             tilde_rel = 1e-13 if mag * 2.0 ** n >= 1.0 / 16 else 1e-11
             for a in (mag, -mag):
-                l1, clamped, literal, deriv = _complex_lattice_norms(n, a)
+                l1, clamped, deriv = _complex_lattice_norms(n, a)
                 assert l_kernel_l1(n, a) == pytest.approx(l1, rel=1e-13)
                 assert l_tilde_l1(n, a) == pytest.approx(clamped, rel=tilde_rel)
-                assert l_tilde_l1(n, a, min_form="literal") == pytest.approx(
-                    literal, rel=tilde_rel)
                 assert l_tilde_dalpha_l1(n, a) == pytest.approx(deriv, rel=1e-9)
 
     def test_chunk_size_does_not_change_results(self, monkeypatch):
