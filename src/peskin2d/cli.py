@@ -20,6 +20,7 @@ contract:
 import argparse
 import csv
 import fnmatch
+import functools
 import hashlib
 import itertools
 import json
@@ -329,7 +330,9 @@ def _cmd_verify_linearization(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process: parse_args keeps no state."""
     p = argparse.ArgumentParser(
         prog="peskin2d",
         description="Spectral boundary-integral bench for an elastic interface "

@@ -235,7 +235,7 @@ def to_json_dict(curve):
     return {
         "time": float(curve.time),
         "K": int(curve.K),
-        "modes": [[float(c.real), float(c.imag)] for c in curve.modes],
+        "modes": curve.modes.view(float).reshape(-1, 2).tolist(),
     }
 
 

@@ -25,6 +25,7 @@ phi1(G dt) and phi2(G dt), with no loop over m and no BLAS call.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,10 +85,17 @@ def pair_matrices(m, coeffs, a1, K):
     return np.where(live[..., :, None] & live[..., None, :], -0.125 * G, 0.0)
 
 
+@lru_cache(maxsize=8)
 def pair_layout(K):
-    """(m, hi, lo): pairs 1..K+2 and their slots of a_m, a_{2-m}; 2K+1 is the pad."""
+    """(m, hi, lo): pairs 1..K+2 and their slots of a_m, a_{2-m}; 2K+1 is the pad.
+
+    Cached per K, so the arrays are read-only.
+    """
     m = np.arange(1, K + 3)
-    return m, np.where(m <= K, K + m, 2 * K + 1), K + 2 - m
+    layout = (m, np.where(m <= K, K + m, 2 * K + 1), K + 2 - m)
+    for arr in layout:
+        arr.flags.writeable = False
+    return layout
 
 
 def pair_apply(mats, v):

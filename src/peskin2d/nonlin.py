@@ -32,27 +32,33 @@ where H = e^{ir} g^2 T(|g|).  No complex division is left: rho is
 Re[conj(H) b^2] over the real |b|^4, and |b| is exactly the chord-arc
 ratio, so it is monitored for free.
 
-X(r_p), H(r_p) and i e^{-ir/2} become rows of a zero-copy sliding
-window over a reversed, doubled 1-D array; e^{-ir/2} is taken at
-r = s_j - alpha_q itself, so it changes sign where that point wraps
-below 0.  The sum runs over tiles of TILE_ROWS outer points, and no
-M x M array is formed.  Two caches serve each M: the read-only O(M)
-workspace, and per thread one writable set of four TILE_ROWS x M scratch
-arrays that every tile pass writes into with out=, so no call allocates
-a tile-sized array and threads may evaluate at the same M at once.  The
-passes run with a one-row ufunc buffer, so numpy reads strided and
-broadcast operands in place instead of copying them.  Row sums are
-numpy reductions in a fixed order, not BLAS calls, so the result does
-not depend on the BLAS thread count.
+X(s_j), X(r_p) and X'(r_p) come from one stacked synthesis.  X(r_p),
+H(r_p) and i e^{-ir/2} become rows of one read-only strided window over
+a reversed, doubled 1-D array; e^{-ir/2} is taken at r = s_j - alpha_q
+itself, so it changes sign where that point wraps below 0, and its
+window depends on M alone.  The sum runs over tiles of outer points, and
+no M x M array is formed.  A tile holds max(TILE_ROWS, TILE_POINTS // M)
+rows, but no more than the B M rows of a B-curve stack: 64 at M = 256,
+and 32 from M = 512 up, so each pass's fixed cost is spread over at
+least TILE_POINTS points where the grid has them.  Three caches serve
+each M: the read-only O(M) workspace, the phase window, and per thread
+one writable set of four tile scratch arrays per tile height (48 bytes a
+point: about 0.75 MiB at M = 256, 1.5 MiB at M = 1024) that every tile
+pass writes into with out=, so no call allocates a tile-sized array and
+threads may evaluate at the same M at once.  The passes run with a
+one-row ufunc buffer, so numpy reads strided and broadcast operands in
+place instead of copying them.  Row sums are numpy reductions in a fixed order, not
+BLAS calls, so the result does not depend on the BLAS thread count.
 
 Every evaluation runs on a stack of curves, modes (B, 2K+1): one curve
 is a stack of one, and eval_nonlinearity_stack and the finite-difference
 Jacobian of jacobian_errors pass more.  Each row goes through the same
 operations in the same order as that curve on its own, so a stack equals
-the loop of single evaluations bit for bit.  A stack runs STACK_CHUNK
-curves at a time, and a tile holds the same TILE_ROWS // B rows of each
-of the chunk's B curves in the same scratch: no tile grows, and a
-chunk's O(B M) arrays stay at STACK_CHUNK x M.
+the loop of single evaluations bit for bit.  A stack runs
+max(1, STACK_POINTS // M) curves per pass: 25 at M = 160, 4 at
+M = 1024.  A tile holds the same rows of each of the pass's B curves, a
+B-th of its height each, in the same scratch: no tile grows, and a
+pass's O(B M) arrays stay near STACK_POINTS values.
 """
 
 import contextlib
@@ -61,7 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .curve import _grid_to_modes, fourier_samples, half_kernel, split, wavenumbers
 from .errors import ConfigError, GeometryError, StepRejected
@@ -69,8 +75,9 @@ from .linear import pair_apply, pair_layout, pair_matrices, pair_modes
 from .tension import linear_coefficients, small_t
 
 CHORD_ARC_MIN = 0.1
-TILE_ROWS = 32
-STACK_CHUNK = 4      # curves per pass of a stack, at most TILE_ROWS
+TILE_ROWS = 32           # least outer points per tile
+TILE_POINTS = 2 ** 14    # (s, alpha) points per tile below M = 512: see _tile_rows
+STACK_POINTS = 2 ** 12   # grid values per pass of a stack: see _stack_chunk
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,12 @@ def _workspace(M):
 
 
 @lru_cache(maxsize=4)
+def _phase_rows(M):
+    """The (M, M) window of i e^{-ir/2} at r = s_j - alpha_q: it depends on M alone."""
+    return _alpha_rows(_workspace(M)[3], -1.0)
+
+
+@lru_cache(maxsize=4)
 def _tile_buffers(rows, M, thread):
     """Scratch for one tile of rows x M points: b, b^2, |b|^2 and a real temporary.
 
@@ -125,34 +138,54 @@ def _row_buffer(M):
         np.setbufsize(old)
 
 
-def _values_on(modes, M, shift):
-    """sum a_k e^{ik(s + shift)} on the M grid via padded FFT, for modes (..., 2K+1)."""
+def _check_quadrature(M, K):
+    if M % 2 != 0 or M < 2 * K + 2:
+        raise ConfigError(f"quadrature size {M} invalid for K={K}")
+
+
+def _samples(modes, M):
+    """X(s_j), X(r_p) and X'(r_p), (3, B, M), of modes (B, 2K+1), in one synthesis."""
     k = wavenumbers((modes.shape[-1] - 1) // 2)
-    return fourier_samples(k, modes * np.exp(1j * k * shift), M)
+    shift = np.exp(1j * k * (np.pi / M))
+    return fourier_samples(k, np.stack((modes, modes * shift, 1j * k * modes * shift)), M)
 
 
 def _alpha_rows(values, wrap_sign=1.0):
-    """Zero-copy (..., M, M) view of offset-node values at r = s_j - alpha_q.
+    """Read-only (..., M, M) view of offset-node values at r = s_j - alpha_q.
 
     Entry [..., j, q] is values[..., (j - q - 1) mod M], times wrap_sign
-    where j <= q (there s_j - alpha_q = r_p - 2 pi).  Each row of values
-    gets a sliding window over its reversed, doubled array, read with its
-    rows flipped.
+    where j <= q (there s_j - alpha_q = r_p - 2 pi).  That is element
+    M - 1 - j + q of the row's reversed, doubled array (2M - 1 values):
+    one strided view whose rows step back and columns forward.
     """
     M = values.shape[-1]
-    doubled = np.concatenate((wrap_sign * values, values), axis=-1)[..., -2::-1].copy()
-    return sliding_window_view(doubled, M, axis=-1)[..., ::-1, :]
+    flipped = values[..., ::-1]
+    doubled = np.concatenate((flipped[..., 1:], wrap_sign * flipped), axis=-1)
+    step = doubled.strides[-1]
+    return as_strided(doubled[..., M - 1:], values.shape + (M,),
+                      doubled.strides[:-1] + (-step, step), writeable=False)
+
+
+def _tile_rows(M):
+    """Outer points per tile: TILE_ROWS, or TILE_POINTS // M where that is more."""
+    return max(TILE_ROWS, TILE_POINTS // M)
+
+
+def _stack_chunk(M):
+    """Curves per pass of a stack, at most _tile_rows(M) since STACK_POINTS <= TILE_POINTS."""
+    return max(1, STACK_POINTS // M)
 
 
 def _tile_views(B, M):
-    """The thread's _tile_buffers as (B, TILE_ROWS // B, M) arrays, for B <= TILE_ROWS.
+    """The thread's _tile_buffers as (B, height, M) arrays, for B <= _tile_rows(M).
 
-    A tile holds the same rows of each of the B curves.  A short last
-    tile takes the leading [:, :n, :] rows.
+    A tile holds the same rows of each of the B curves, at most M of
+    each.  A short last tile takes the leading [:, :n, :] rows.
     """
-    height = TILE_ROWS // B
+    rows = min(_tile_rows(M), B * M)
+    height = rows // B
     return tuple(a[:B * height].reshape(B, height, M)
-                 for a in _tile_buffers(TILE_ROWS, M, threading.get_ident()))
+                 for a in _tile_buffers(rows, M, threading.get_ident()))
 
 
 def _chord_tiles(xs, xr, M):
@@ -163,10 +196,10 @@ def _chord_tiles(xs, xr, M):
     until the next tile is drawn, and one thread must not interleave two
     scans at the same M.
     """
-    exp_half_s, c, _, i_exp_half_neg_r, _ = _workspace(M)
+    exp_half_s, c, _, _, _ = _workspace(M)
     b_tile, _, abs2_tile, tmp_tile = _tile_views(len(xs), M)
     xr_rows = _alpha_rows(xr)
-    phase_rows = _alpha_rows(i_exp_half_neg_r, -1.0)
+    phase_rows = _phase_rows(M)
     height = b_tile.shape[-2]
     for start in range(0, M, height):
         rows = slice(start, min(start + height, M))
@@ -182,9 +215,7 @@ def _chord_tiles(xs, xr, M):
 
 def _grid_values(modes, law, M):
     """Velocity on the grid s_j, (B, M), of the stack of modes (B, 2K+1)."""
-    K = (modes.shape[-1] - 1) // 2
-    if M % 2 != 0 or M < 2 * K + 2:
-        raise ConfigError(f"quadrature size {M} invalid for K={K}")
+    _check_quadrature(M, (modes.shape[-1] - 1) // 2)
     bad = np.count_nonzero(~np.isfinite(modes))
     if bad:
         # NaN compares False against every guard below
@@ -192,9 +223,8 @@ def _grid_values(modes, law, M):
                            "on entry to the boundary integral")
     exp_half_s, _, conj_w, _, exp_r = _workspace(M)
 
-    xs = _values_on(modes, M, 0.0)
-    xr = _values_on(modes, M, np.pi / M)
-    g = 1.0 - 1j * np.conj(exp_r) * _values_on(1j * wavenumbers(K) * modes, M, np.pi / M)
+    xs, xr, xr_prime = _samples(modes, M)
+    g = 1.0 - 1j * np.conj(exp_r) * xr_prime
     # small_t checks the stretch against the law before g^2 can overflow
     conj_h_rows = _alpha_rows(small_t(law, np.abs(g)) * np.conj(exp_r * g * g))
 
@@ -243,24 +273,28 @@ def eval_nonlinearity_stack(modes, law, M):
     """Velocity modes (B, 2K+1) of every curve in a (B, 2K+1) stack of modes.
 
     Row i is eval_nonlinearity(FourierCurve(modes[i]), law, M).n_modes bit
-    for bit.  The stack runs STACK_CHUNK curves at a time, so its memory
-    beyond the output does not grow with B.  A stack with one failing
-    curve raises the class of error that curve raises on its own.
+    for bit.  The stack runs _stack_chunk(M) curves per pass, so its
+    memory beyond the output does not grow with B.  A stack with one
+    failing curve raises the class of error that curve raises on its own.
     """
     modes = np.asarray(modes, dtype=complex)
     K = (modes.shape[-1] - 1) // 2
     out = np.empty_like(modes)
-    for first in range(0, len(modes), STACK_CHUNK):
-        chunk = slice(first, first + STACK_CHUNK)
+    step = _stack_chunk(M)
+    for first in range(0, len(modes), step):
+        chunk = slice(first, first + step)
         out[chunk] = _grid_to_modes(_grid_values(modes[chunk], law, M), K)
     return out
 
 
 def chord_arc_ratio(curve, M=None):
-    """Minimum sampled chord-arc ratio |XX(r)-XX(s)| / |2 sin((s-r)/2)|."""
+    """Minimum sampled chord-arc ratio |XX(r)-XX(s)| / |2 sin((s-r)/2)|.
+
+    M must be even with M >= 2K+2 (else ConfigError), as for eval_nonlinearity.
+    """
     M = M if M is not None else max(64, 4 * curve.K)
-    xs = _values_on(curve.modes[None], M, 0.0)
-    xr = _values_on(curve.modes[None], M, np.pi / M)
+    _check_quadrature(M, curve.K)
+    xs, xr, _ = _samples(curve.modes[None], M)
     with _row_buffer(M):
         min2 = min(float(abs2.min()) for _, _, abs2 in _chord_tiles(xs, xr, M))
     return float(np.sqrt(min2))

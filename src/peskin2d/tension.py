@@ -53,15 +53,19 @@ class TensionLaw:
 
     def check_domain(self, r):
         r = np.asarray(r, dtype=float)
-        if not np.all(np.isfinite(r)):
+        if not r.size:
+            return
+        # NaN carries through min and max, so lo and hi see every non-finite value
+        lo, hi = r.min(), r.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise TensionDomainError(
                 f"stretch must be finite, got {np.count_nonzero(~np.isfinite(r))} "
                 "non-finite value(s)")
-        if np.any(r <= 0):
-            raise TensionDomainError(f"stretch must be positive, got {np.min(r)}")
-        if np.any(r < self.r_min) or np.any(r > self.r_max):
+        if lo <= 0:
+            raise TensionDomainError(f"stretch must be positive, got {lo}")
+        if lo < self.r_min or hi > self.r_max:
             raise TensionDomainError(
-                f"stretch in [{np.min(r):.6g}, {np.max(r):.6g}] leaves the "
+                f"stretch in [{lo:.6g}, {hi:.6g}] leaves the "
                 f"validity interval [{self.r_min}, {self.r_max}] of '{self.label}'")
 
     def __repr__(self):

@@ -642,6 +642,25 @@ class TestInterface:
         manifest = json.load(open(os.path.join(out, "manifest.json")))
         assert manifest["config"]["initial_data"]["k"] == 3
 
+    def test_consecutive_calls_parse_independently(self, tmp_path):
+        # the parser is built once per process: a flag of one call must not
+        # leak into the next, whatever subcommand ran in between
+        cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
+        spec = write_config(tmp_path / "s.json", {"law": {"law": "cubic"}, "m_max": 4})
+        first, second = str(tmp_path / "flag"), str(tmp_path / "config")
+        assert main(["simulate", "--config", cfg, "--out", first,
+                     "--snapshot-every", "0.5", "--watch-modes", "5"]) == EXIT_OK
+        assert main(["linear-spectrum", "--config", spec,
+                     "--out", str(tmp_path / "spec")]) == EXIT_OK
+        assert main(["simulate", "--config", cfg, "--out", second]) == EXIT_OK
+        # t_end 4: every 0.5 gives 9 snapshots, the config's 0.25 gives 17
+        assert len(snapshot_names(first)) == 9
+        assert len(snapshot_names(second)) == 17
+        header = open(os.path.join(second, "diagnostics.csv")).readline()
+        assert header.startswith("t,abs_a2,abs_a3,abs_a-1,")
+        manifest = json.load(open(os.path.join(second, "manifest.json")))
+        assert manifest["config"]["snapshot_every"] == 0.25
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as e:
             main(["--help"])

@@ -193,6 +193,19 @@ class TestSerialization:
         assert back.time == 2.5
         assert np.array_equal(back.modes, curve.modes)
 
+    def test_json_text_matches_per_element_floats(self):
+        # the modes are encoded as one array of (re, im) pairs
+        tiny = np.nextafter(0.0, 1.0)
+        modes = np.array([-0.0 + 0.0j, complex(0.0, -0.0), complex(tiny, -tiny),
+                          complex(2.2250738585072014e-308 / 3, 1e-310),
+                          complex(1e308, -1e308), complex(-1e308, 1e308),
+                          complex(0.1, -1.0 / 3.0)])
+        curve = FourierCurve(modes, time=0.5)
+        old = {"time": 0.5, "K": 3,
+               "modes": [[float(c.real), float(c.imag)] for c in curve.modes]}
+        assert json.dumps(to_json_dict(curve)) == json.dumps(old)
+        assert "-0.0" in json.dumps(to_json_dict(curve))
+
     def test_csv_export(self, tmp_path):
         grid = synthesize(make_curve(3, {2: 0.1}), 8)
         path = tmp_path / "curve.csv"

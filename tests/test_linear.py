@@ -5,7 +5,7 @@ import scipy.linalg
 from peskin2d import (IllConditioned, build_pair_system, cubic, hookean,
                       linear_coefficients, mode2_system, phi1_pair, phi2_pair,
                       propagate_pair, spectrum_report)
-from peskin2d.linear import ModePairSystem, propagator_matrices
+from peskin2d.linear import ModePairSystem, pair_layout, propagator_matrices
 
 
 def closed_form_eigs(coeffs, m):
@@ -214,3 +214,18 @@ class TestSpectrumReport:
         assert mode2_system(co).rate == pytest.approx(1.0, rel=1e-15)
         co_h = linear_coefficients(hookean(), 0.0)
         assert mode2_system(co_h).rate == pytest.approx(0.25, rel=1e-15)
+
+
+class TestPairLayout:
+    def test_layout(self):
+        m, hi, lo = pair_layout(3)
+        assert m.tolist() == [1, 2, 3, 4, 5]
+        assert hi.tolist() == [4, 5, 6, 7, 7]   # a_4, a_5 are past K: the pad 2K+1
+        assert lo.tolist() == [4, 3, 2, 1, 0]
+
+    def test_cached_arrays_reject_writes(self):
+        # one layout per K is shared by every caller
+        assert pair_layout(5) is pair_layout(5)
+        for arr in pair_layout(5):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from peskin2d import (FourierCurve, GeometryError, StepRejected,
                       TensionDomainError, TensionLaw, cubic, eval_linear_part,
@@ -282,15 +283,62 @@ class TestChordArc:
         curve = curve_with(K, assign)
         assert abs(chord_arc_ratio(curve, M) - dense_chord_arc_ratio(curve, M)) <= 1e-14
 
-    def test_geometry_error_reports_minimum_over_all_tiles(self):
-        # the first tile of rows already violates the bound (min 0.028),
-        # but the reported ratio is the global minimum from the second
+    def test_geometry_error_reports_minimum_over_all_tiles(self, monkeypatch):
+        # with 32-row tiles, the first tile of rows already violates the bound
+        # (min 0.028), but the reported ratio is the global minimum from the second
+        monkeypatch.setattr(nonlin, "TILE_POINTS", 0)
+        assert nonlin._tile_rows(64) == 32
         curve = curve_with(8, {2: 0.52, 3: 0.1j})
         wide = cubic(r_min=0.02, r_max=20.0)
         with pytest.raises(GeometryError) as exc:
             eval_nonlinearity(curve, wide, 64)
         assert f"chord-arc ratio {chord_arc_ratio(curve, 64):.4g} <=" in str(exc.value)
         assert chord_arc_ratio(curve, 64) < 0.01
+
+    @pytest.mark.parametrize("M", [33, 7, 30])
+    def test_invalid_quadrature_size_rejected(self, M):
+        # odd M, and M < 2K+2: chord_arc_ratio once returned 0.9002 at
+        # M = 33 and an aliased 0.99999 at M = 7 for this curve
+        curve = curve_with(16, {2: 0.05})
+        message = f"quadrature size {M} invalid for K=16"
+        with pytest.raises(ConfigError) as exc:
+            chord_arc_ratio(curve, M)
+        assert str(exc.value) == message
+        with pytest.raises(ConfigError) as exc:
+            eval_nonlinearity(curve, cubic(), M)
+        assert str(exc.value) == message
+
+
+def sliding_alpha_rows(values, wrap_sign):
+    """The sliding_window_view construction of nonlin._alpha_rows; test oracle only."""
+    M = values.shape[-1]
+    doubled = np.concatenate((wrap_sign * values, values), axis=-1)[..., -2::-1].copy()
+    return sliding_window_view(doubled, M, axis=-1)[..., ::-1, :]
+
+
+class TestAlphaRows:
+    @pytest.mark.parametrize("wrap_sign", [1.0, -1.0])
+    @pytest.mark.parametrize("lead", [(), (1,), (3,)], ids=["row", "stack-1", "stack-3"])
+    def test_strided_window_equals_sliding_window(self, wrap_sign, lead):
+        M = 10
+        rng = np.random.default_rng(len(lead) + M)
+        values = rng.standard_normal(lead + (M,)) + 1j * rng.standard_normal(lead + (M,))
+        got = nonlin._alpha_rows(values, wrap_sign)
+        want = sliding_alpha_rows(values, wrap_sign)
+        assert got.shape == want.shape == lead + (M, M)
+        assert np.array_equal(got, want)
+        j, q = np.indices((M, M))
+        assert np.array_equal(got, values[..., (j - q - 1) % M] * np.where(j <= q, wrap_sign, 1.0))
+
+    def test_window_is_read_only(self):
+        window = nonlin._alpha_rows(np.arange(8.0) + 0j, -1.0)
+        assert not window.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            window[0, 0] = 1.0
+        phase = nonlin._phase_rows(8)
+        assert phase is nonlin._phase_rows(8)
+        assert not phase.flags.writeable
+        assert np.array_equal(phase, sliding_alpha_rows(nonlin._workspace(8)[3], -1.0))
 
 
 class TestTileBuffers:
@@ -320,14 +368,26 @@ class TestTileBuffers:
                    or not np.array_equal(r.grid_values, ref.grid_values)]
             assert not bad, f"{len(bad)} of {len(results)} calls differ, e.g. {bad[0]!r}"
 
-    @pytest.mark.parametrize("rows", [7, 100])
-    def test_tile_height_leaves_results_bitwise_equal(self, cubic_law, monkeypatch, rows):
-        # M = 100 is no multiple of 32 or 7, so the last tile is short
-        K, M = 16, 100
+    @pytest.mark.parametrize("M, rows, points, height", [
+        (100, 7, 0, 7),
+        (100, 100, 0, 100),
+        (200, 32, 2 ** 14, 81),
+        (100, 32, 2 ** 14, 100),
+    ], ids=["7", "100", "point-sized", "point-sized-one-tile"])
+    def test_tile_height_leaves_results_bitwise_equal(self, cubic_law, monkeypatch,
+                                                      M, rows, points, height):
+        # the reference takes 32-row tiles; M = 100 and 200 are no multiple
+        # of 32, 7 or 81, so the last tile is short; at M = 100 a tile of
+        # 100 rows covers the grid, and 163 point-sized rows are cut to it
+        K = 16
         curve = random_curve(K, 4)
+        monkeypatch.setattr(nonlin, "TILE_POINTS", 0)
+        assert nonlin._tile_rows(M) == 32
         ref = eval_nonlinearity(curve, cubic_law, M)
         ref_ratio = chord_arc_ratio(curve, M)
         monkeypatch.setattr(nonlin, "TILE_ROWS", rows)
+        monkeypatch.setattr(nonlin, "TILE_POINTS", points)
+        assert nonlin._tile_views(1, M)[0].shape == (1, height, M)
         got = eval_nonlinearity(curve, cubic_law, M)
         assert np.array_equal(got.n_modes, ref.n_modes)
         assert np.array_equal(got.grid_values, ref.grid_values)
@@ -369,16 +429,30 @@ def random_stack(K, B, seed):
 
 
 class TestStack:
-    # a stack runs STACK_CHUNK curves per pass, each tile holding the same
-    # rows of every curve of the chunk; row by row it is the one-curve call
+    # a stack runs _stack_chunk(M) curves per pass, each tile holding the same
+    # rows of every curve of the pass; row by row it is the one-curve call
     @pytest.mark.parametrize("B", [1, 3, 11])
-    @pytest.mark.parametrize("chunk", [1, 3, nonlin.STACK_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 3, 4, "default"])
     def test_stack_equals_per_curve_loop(self, cubic_law, monkeypatch, B, chunk):
-        # M = 100 is no multiple of any tile height, so every chunk's last tile is short
+        # M = 100 is no multiple of any tile height, so every chunk's last
+        # tile is short; a numbered chunk sets STACK_POINTS to chunk x M, and
+        # the default takes 40 curves per pass at M = 100
         K, M = 16, 100
         modes = random_stack(K, B, seed=B)
-        monkeypatch.setattr(nonlin, "STACK_CHUNK", chunk)
+        if chunk != "default":
+            monkeypatch.setattr(nonlin, "STACK_POINTS", chunk * M)
+        step = nonlin._stack_chunk(M)
+        assert step == (40 if chunk == "default" else chunk)
+        passes = []
+        real_grid_values = nonlin._grid_values
+
+        def counted(stack, law, M):
+            passes.append(len(stack))
+            return real_grid_values(stack, law, M)
+
+        monkeypatch.setattr(nonlin, "_grid_values", counted)
         got = nonlin.eval_nonlinearity_stack(modes, cubic_law, M)
+        assert passes == [min(step, B - first) for first in range(0, B, step)]
         for row, curve_modes in zip(got, modes):
             want = eval_nonlinearity(FourierCurve(curve_modes), cubic_law, M).n_modes
             assert np.array_equal(row, want)
@@ -415,7 +489,7 @@ class TestStack:
 
     def test_warm_stacked_call_allocates_less_than_two_tiles(self, hookean_law):
         # the bound of test_warm_call_allocates_less_than_two_tiles: each
-        # chunk's O(STACK_CHUNK M) arrays stay far below a tile's scratch
+        # pass's O(B M) arrays, B = 4 at M = 1024, stay far below a tile's scratch
         K, M = 256, 1024
         modes = random_stack(K, 11, seed=5)
         nonlin.eval_nonlinearity_stack(modes, hookean_law, M)

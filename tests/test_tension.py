@@ -37,6 +37,40 @@ class TestSmallT:
             linear_coefficients(law, complex(np.nan, 0.0))
 
 
+class TestCheckDomain:
+    # every check reads one min and one max; the messages are the ones of
+    # the per-element checks they replaced
+    @pytest.mark.parametrize("r, message", [
+        ([1.0, np.nan, 1.5], "stretch must be finite, got 1 non-finite value(s)"),
+        ([1.0, np.inf], "stretch must be finite, got 1 non-finite value(s)"),
+        ([-np.inf, np.nan, 1.0], "stretch must be finite, got 2 non-finite value(s)"),
+        ([1.0, 0.0], "stretch must be positive, got 0.0"),
+        ([-1.0, 1.0], "stretch must be positive, got -1.0"),
+        ([0.4, 1.0], "stretch in [0.4, 1] leaves the validity interval [0.5, 2.0] "
+                     "of 'hookean(k0=1.0)'"),
+        ([1.0, 2.5], "stretch in [1, 2.5] leaves the validity interval [0.5, 2.0] "
+                     "of 'hookean(k0=1.0)'"),
+        (0.49999999999999994, "stretch in [0.5, 0.5] leaves the validity interval "
+                              "[0.5, 2.0] of 'hookean(k0=1.0)'"),
+    ], ids=["nan", "inf", "two-non-finite", "zero", "negative", "below", "above",
+            "just-below"])
+    def test_rejections_keep_their_messages(self, r, message):
+        with pytest.raises(TensionDomainError) as exc:
+            hookean().check_domain(np.array(r))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("r", [0.5, 2.0, [0.5, 2.0], [2.0, 1.0, 0.5], []])
+    def test_interval_ends_accepted(self, r):
+        assert hookean().check_domain(np.array(r)) is None
+
+    def test_infinite_stretch_rejected_under_infinite_r_max(self):
+        law = TensionLaw(lambda r: r, lambda r: np.ones_like(r), "open",
+                         r_max=np.inf, check_positivity=False)
+        law.check_domain(np.array([1.0, 1e300]))
+        with pytest.raises(TensionDomainError, match="must be finite"):
+            law.check_domain(np.array([1.0, np.inf]))
+
+
 class TestSmallTPrime:
     def test_hookean_is_zero(self):
         assert small_t_prime(hookean(), 1.3) == pytest.approx(0.0, abs=0)
