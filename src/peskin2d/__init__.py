@@ -25,12 +25,9 @@ from .integrator import (RunConfig, Trajectory, default_dt, fit_decay, iter_run,
 from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel,
                       l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
                       pv_quadrature_jk)
-from .linear import (Mode2System, ModePairSystem, build_pair_system,
-                     mode2_system, phi1_pair, phi2_pair, propagate_pair,
-                     spectrum_report)
+from .linear import ModePairSystem, build_pair_system, spectrum_report
 from .nonlin import (NonlinearityEvaluation, chord_arc_ratio,
-                     eval_linear_part, eval_nonlinearity, eval_residual,
-                     linear_mode_rhs)
+                     eval_nonlinearity, eval_residual, linear_mode_rhs)
 from .norms import (DyadicDecomposition, NormReport, decompose, l2_norm,
                     linf_norm, lp_project, n_norm, norm_report, s_norm,
                     wiener_snapshot, z1_algebra_check, z1_weight, z2_weight)

@@ -36,12 +36,6 @@ _COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
-class Mode2System:
-    """Scalar decay rate (A + b_tilde)/4 of the second mode."""
-    rate: float
-
-
-@dataclass(frozen=True)
 class ModePairSystem:
     """Coupled system for (a_m, conj(a_{2-m})), m >= 3."""
     m: int
@@ -161,10 +155,6 @@ def _cond2(V):
         return (f + np.sqrt(np.maximum(f * f - 4.0 * det * det, 0.0))) / (2.0 * det)
 
 
-def mode2_system(coeffs):
-    return Mode2System(rate=(coeffs.A + coeffs.b_tilde) / 4.0)
-
-
 def build_pair_system(m, coeffs, a1):
     """Assemble the pair matrix for mode m >= 3 and diagonalize it."""
     if m < 3:
@@ -235,24 +225,6 @@ def propagator_matrices(sys, dt):
     tables = _matrix_functions([sys.m], sys.eigenvalues[None], sys.eigenvectors[None],
                                np.array([sys.eigen_cond]), dt)
     return tuple(t[0] for t in tables)
-
-
-def propagate_pair(sys, state, dt):
-    """Apply the exact propagator e^{G dt} to the pair state."""
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    out = propagator_matrices(sys, dt)[0] @ np.asarray(state, dtype=complex)
-    return (complex(out[0]), complex(out[1]))
-
-
-def phi1_pair(sys, dt):
-    """Matrix phi1(G dt) = (e^{G dt} - I)(G dt)^{-1}, series-safe near zero."""
-    return propagator_matrices(sys, dt)[1]
-
-
-def phi2_pair(sys, dt):
-    """Matrix phi2(G dt) = (e^{G dt} - I - G dt)(G dt)^{-2}, series-safe near zero."""
-    return propagator_matrices(sys, dt)[2]
 
 
 def spectrum_report(law, a1, m_max):

@@ -344,15 +344,11 @@ def jacobian_errors(law, a1, k_max, delta, M):
     return np.abs(jac - c).max(axis=1) / np.abs(c).max(axis=1)
 
 
-def eval_linear_part(curve_split, law):
-    """Linearized velocity modes using coefficients from the split's own a1."""
-    coeffs = linear_coefficients(law, curve_split.a1)
-    return linear_mode_rhs(curve_split.y_modes, coeffs, curve_split.a1)
-
-
 def eval_residual(curve, law, M):
     """Residual modes L_k = N_k - c_k, the linear part taken about the curve's own a1.
 
     For data of size eps the residual is O(eps^2).
     """
-    return eval_nonlinearity(curve, law, M).n_modes - eval_linear_part(split(curve), law)
+    sp = split(curve)
+    return (eval_nonlinearity(curve, law, M).n_modes
+            - linear_mode_rhs(sp.y_modes, linear_coefficients(law, sp.a1), sp.a1))

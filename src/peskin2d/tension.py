@@ -42,14 +42,19 @@ class TensionLaw:
         if check_positivity:
             bad = self.positivity_failures()
             if bad.size:
-                raise ConfigError(
-                    f"law '{label}' violates positivity at r={bad[:5]}...")
+                raise ConfigError(f"law '{label}' needs finite tau > 0 and tau' > 0, "
+                                  f"fails at r={bad[:5]}...")
 
     def positivity_failures(self):
-        """The points of a 256-point grid on [r_min, r_max] where tau <= 0 or tau' <= 0."""
+        """Points of a 256-point grid on [r_min, r_max] where tau or tau' is not finite and > 0."""
+        if not np.isfinite(self.r_max):
+            raise ConfigError(f"cannot check the positivity of '{self.label}' on the "
+                              f"infinite interval [{self.r_min}, {self.r_max}]")
         r = np.linspace(self.r_min, self.r_max, 256)
-        bad = (self.evaluate(r) <= 0) | (self.derivative(r) <= 0)
-        return r[bad]
+        with np.errstate(all="ignore"):
+            tau, dtau = self.evaluate(r), self.derivative(r)
+            ok = np.isfinite(tau) & np.isfinite(dtau) & (tau > 0) & (dtau > 0)
+        return r[~ok]
 
     def check_domain(self, r):
         r = np.asarray(r, dtype=float)

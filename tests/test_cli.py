@@ -562,6 +562,20 @@ class TestExitCodeTable:
         assert code == EXIT_ILL_CONDITIONED
         assert err.startswith("error: pair m=3:") and "Traceback" not in err
 
+    def test_overflowing_law_exits_2_quietly(self, tmp_path):
+        # cubic tau overflows to inf on the positivity grid up to r_max = 1e200
+        config = dict(SIM_CONFIG, law={"law": "cubic", "r_max": 1e200})
+        cfg = write_config(tmp_path / "big.json", config)
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "peskin2d.cli", "simulate", "--config", cfg,
+             "--out", str(out)],
+            env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("error: law 'cubic(c=1.0)' needs finite tau")
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_step_rejected_exit_code(self, tmp_path):
         from peskin2d.cli import EXIT_STEP_REJECTED
         config = {

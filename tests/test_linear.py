@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 
 from peskin2d import (IllConditioned, build_pair_system, cubic, hookean,
-                      linear_coefficients, mode2_system, phi1_pair, phi2_pair,
-                      propagate_pair, spectrum_report)
-from peskin2d.linear import ModePairSystem, pair_layout, propagator_matrices
+                      linear_coefficients, spectrum_report)
+from peskin2d.linear import (ModePairSystem, pair_layout, pair_matrices,
+                             propagator_matrices)
 
 
 def closed_form_eigs(coeffs, m):
@@ -60,14 +60,14 @@ class TestPropagate:
     def test_hookean_scalar_exponential(self):
         co = linear_coefficients(hookean(), 0.0)
         sys = build_pair_system(3, co, 0.0)
-        out = propagate_pair(sys, (1.0, 0.0), 1.0)
+        out = propagate(sys, (1.0, 0.0), 1.0)
         assert out[0] == pytest.approx(np.exp(-0.5), rel=1e-14)
         assert out[1] == 0.0
 
     def test_zero_dt_identity(self):
         co = linear_coefficients(cubic(), 0.1)
         sys = build_pair_system(5, co, 0.1)
-        out = propagate_pair(sys, (0.3 + 0.1j, -0.2j), 0.0)
+        out = propagate(sys, (0.3 + 0.1j, -0.2j), 0.0)
         assert out[0] == pytest.approx(0.3 + 0.1j, abs=1e-15)
         assert out[1] == pytest.approx(-0.2j, abs=1e-15)
 
@@ -75,8 +75,8 @@ class TestPropagate:
         co = linear_coefficients(cubic(), 0.1j)
         sys = build_pair_system(4, co, 0.1j)
         state = (0.2 - 0.3j, 0.05 + 0.4j)
-        composed = propagate_pair(sys, propagate_pair(sys, state, 0.3), 0.7)
-        direct = propagate_pair(sys, state, 1.0)
+        composed = propagate(sys, propagate(sys, state, 0.3), 0.7)
+        direct = propagate(sys, state, 1.0)
         assert abs(composed[0] - direct[0]) + abs(composed[1] - direct[1]) < 1e-12
 
     def test_against_scipy_expm(self, rng):
@@ -87,7 +87,7 @@ class TestPropagate:
                 dt = 0.31
                 E_ref = scipy.linalg.expm(np.asarray(sys.G) * dt)
                 state = rng.normal(size=2) + 1j * rng.normal(size=2)
-                got = propagate_pair(sys, state, dt)
+                got = propagate(sys, state, dt)
                 want = E_ref @ state
                 assert abs(got[0] - want[0]) + abs(got[1] - want[1]) < 1e-12
 
@@ -114,7 +114,7 @@ class TestPropagate:
         direct = scipy.linalg.expm(G_neg * dt) @ state
         # reduction: swap + conjugate into the m-system and back
         swapped = (np.conj(state[1]), np.conj(state[0]))
-        prop = propagate_pair(sys, swapped, dt)
+        prop = propagate(sys, swapped, dt)
         via = np.array([np.conj(prop[1]), np.conj(prop[0])])
         assert np.abs(direct - via).max() < 1e-12
 
@@ -125,20 +125,20 @@ class TestPropagate:
                              eigenvectors=V, spectral_abscissa=-1.0,
                              eigen_cond=float(np.linalg.cond(V)))
         with pytest.raises(IllConditioned):
-            propagate_pair(sys, (1.0, 0.0), 0.1)
+            propagator_matrices(sys, 0.1)
 
 
 class TestPhiFunctions:
     def test_phi1_zero_limit(self):
         co = linear_coefficients(cubic(), 0.0)
         sys = build_pair_system(3, co, 0.0)
-        P1 = phi1_pair(sys, 1e-16)
+        P1 = propagator_matrices(sys, 1e-16)[1]
         assert np.allclose(P1, np.eye(2), atol=1e-12)
 
     def test_phi1_diagonal_formula(self):
         co = linear_coefficients(hookean(), 0.0)
         sys = build_pair_system(3, co, 0.0)  # G = -diag(1/2, 1/2)
-        P1 = phi1_pair(sys, 2.0)
+        P1 = propagator_matrices(sys, 2.0)[1]
         want = (1 - np.exp(-1.0)) / 1.0
         assert np.allclose(np.diag(P1), [want, want], rtol=1e-14)
         assert abs(P1[0, 1]) + abs(P1[1, 0]) < 1e-15
@@ -164,15 +164,21 @@ class TestPhiFunctions:
         G = np.asarray(sys.G)
         E = scipy.linalg.expm(G * dt)
         want = np.linalg.solve((G * dt) @ (G * dt), E - np.eye(2) - G * dt)
-        assert np.allclose(phi2_pair(sys, dt), want, rtol=1e-10)
+        assert np.allclose(propagator_matrices(sys, dt)[2], want, rtol=1e-10)
 
     def test_propagator_matrices_consistent(self):
         co = linear_coefficients(cubic(), 0.0)
         sys = build_pair_system(4, co, 0.0)
         E, P1, P2 = propagator_matrices(sys, 0.5)
         assert np.allclose(E, _apply(sys, 0.5, np.exp), atol=1e-14)
-        assert np.allclose(P1, phi1_pair(sys, 0.5), atol=1e-14)
-        assert np.allclose(P2, phi2_pair(sys, 0.5), atol=1e-14)
+        G = np.asarray(sys.G) * 0.5
+        assert np.allclose(P1 @ G, E - np.eye(2), atol=1e-14)
+        assert np.allclose(P2 @ G, P1 - np.eye(2), atol=1e-14)
+
+
+def propagate(sys, state, dt):
+    """e^{G dt} of the pair system applied to its state (a_m, conj(a_{2-m}))."""
+    return propagator_matrices(sys, dt)[0] @ np.asarray(state, dtype=complex)
 
 
 def _apply(sys, dt, fn):
@@ -210,10 +216,12 @@ class TestSpectrumReport:
         assert -slope == pytest.approx(-sys.spectral_abscissa, rel=1e-3)
 
     def test_mode2_rate(self):
-        co = linear_coefficients(cubic(), 0.0)
-        assert mode2_system(co).rate == pytest.approx(1.0, rel=1e-15)
-        co_h = linear_coefficients(hookean(), 0.0)
-        assert mode2_system(co_h).rate == pytest.approx(0.25, rel=1e-15)
+        # mode 2 decays alone at (A + b_tilde)/4: -G[0, 0] of pair m = 2
+        for law, want in ((cubic(), 1.0), (hookean(), 0.25)):
+            co = linear_coefficients(law, 0.0)
+            rate = (co.A + co.b_tilde) / 4
+            assert rate == pytest.approx(want, rel=1e-15)
+            assert -pair_matrices([2], co, 0.0, K=8)[0, 0, 0] == rate
 
 
 class TestPairLayout:

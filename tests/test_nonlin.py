@@ -6,8 +6,8 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from peskin2d import (FourierCurve, GeometryError, StepRejected,
-                      TensionDomainError, TensionLaw, cubic, eval_linear_part,
-                      eval_nonlinearity, eval_residual, hookean,
+                      TensionDomainError, TensionLaw, cubic, eval_nonlinearity,
+                      eval_residual, hookean,
                       linear_coefficients, linear_mode_rhs, nonlin, split)
 from peskin2d.curve import wavenumbers
 from peskin2d.errors import ConfigError
@@ -119,24 +119,29 @@ class TestLinearization:
         got = ev.n_modes[16 + 2] / delta
         assert got == pytest.approx(-0.25, rel=1e-4)
 
+    @staticmethod
+    def linear_part(curve, law):
+        # G u about the curve's own a1, as eval_residual subtracts it
+        sp = split(curve)
+        return linear_mode_rhs(sp.y_modes, linear_coefficients(law, sp.a1), sp.a1)
+
     def test_linear_part_zero(self, cubic_law):
-        c = eval_linear_part(split(curve_with(8, {})), cubic_law)
+        c = self.linear_part(curve_with(8, {}), cubic_law)
         assert np.abs(c).max() == 0.0
 
     def test_mode2_hookean_closed_form(self, hookean_law):
-        c = eval_linear_part(split(curve_with(8, {2: 1.0})), hookean_law)
+        c = self.linear_part(curve_with(8, {2: 1.0}), hookean_law)
         assert c[8 + 2] == pytest.approx(-0.25, rel=1e-15)
 
     def test_mode3_cubic_closed_form(self, cubic_law):
-        c = eval_linear_part(split(curve_with(8, {3: 1.0})), cubic_law)
+        c = self.linear_part(curve_with(8, {3: 1.0}), cubic_law)
         # A=B=2: -(A/8)(6+2-4) - (B/8)*3 = -1 - 3/4
         assert c[8 + 3] == pytest.approx(-1.75, rel=1e-15)
         # conjugate coupling lands on mode -1 with weight +(B/8)|2-(-1)| = 3/4
         assert c[8 - 1] == pytest.approx(0.75, rel=1e-15)
 
     def test_rates_zeroed_on_steady_modes(self, cubic_law):
-        c = eval_linear_part(split(curve_with(8, {0: 1.0, 1: 0.5, 2: 1.0})),
-                             cubic_law)
+        c = self.linear_part(curve_with(8, {0: 1.0, 1: 0.5, 2: 1.0}), cubic_law)
         assert c[8 + 0] == 0.0 and c[8 + 1] == 0.0
 
     @pytest.mark.parametrize("law_fn", [hookean, cubic])

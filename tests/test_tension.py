@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,21 @@ class TestLawConstruction:
         with pytest.raises(ConfigError):
             TensionLaw(lambda r: 2 * r - r ** 2, lambda r: 2 - 2 * r, "bad",
                        r_min=0.5, r_max=2.0)
+
+    def test_infinite_interval_rejected(self):
+        # linspace(0.5, inf, 256) is [nan, inf, ...]: no grid, so no check
+        with pytest.raises(ConfigError, match="infinite interval"):
+            hookean(r_max=np.inf)
+
+    def test_overflow_fails_the_gate(self):
+        # r^3 overflows long before r_max = 1e200, and tau = inf is no tension;
+        # the gate says so without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="finite tau"):
+                cubic(r_max=1e200)
+            law = cubic(r_max=1e200, check_positivity=False)
+            assert law.positivity_failures()[-1] == 1e200
 
     def test_diagnostic_mode_reports_failures(self):
         law = TensionLaw(lambda r: 2 * r - r ** 2, lambda r: 2 - 2 * r, "bad",
