@@ -11,9 +11,8 @@ dyadic norm diagnostics that quantify all of this.
 
 __version__ = "0.1.0"
 
-from .curve import (CurveSplit, FourierCurve, PhysicalGrid, analyze,
-                    derivative, eval_y, from_json_dict, grid_to_csv,
-                    reassemble, split, synthesize, to_json_dict, y_tilde)
+from .curve import (CurveSplit, FourierCurve, derivative, eval_y,
+                    from_json_dict, split, to_json_dict, y_tilde)
 from .errors import (ConfigError, GeometryError, IllConditioned,
                      InsufficientDecay, PeskinError, StepRejected,
                      TensionDomainError)
@@ -28,9 +27,8 @@ from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel,
 from .linear import ModePairSystem, build_pair_system, spectrum_report
 from .nonlin import (NonlinearityEvaluation, chord_arc_ratio,
                      eval_nonlinearity, eval_residual, linear_mode_rhs)
-from .norms import (DyadicDecomposition, NormReport, decompose, l2_norm,
-                    linf_norm, lp_project, n_norm, norm_report, s_norm,
-                    wiener_snapshot, z1_algebra_check, z1_weight, z2_weight)
+from .norms import (l2_norm, linf_norm, n_norm, s_norm, wiener_snapshot,
+                    z1_algebra_check, z1_weight, z2_weight)
 from .tension import (LinearCoefficients, TensionLaw, cubic, hookean,
                       law_from_config, linear_coefficients, power, small_t,
                       small_t_prime)

@@ -124,7 +124,7 @@ _KERNELS_SCHEMA = {"k_max": ("int", 64, (0, 8191)), "M": ("int", 1024, (None, 65
                    "alphas_per_decade": ("int", 4, (1, 64))}
 _LINEARIZATION_SCHEMA = {"law": ("object", REQUIRED), "a1": ("pair", 0j),
                          "k_max": ("int", 12, (2, 1022)), "M": ("int", None, (None, 8192)),
-                         "delta": ("positive", 1e-6)}
+                         "delta": ("positive", 1e-6, (None, 1e-2))}
 
 
 def _cmd_simulate(args):

@@ -5,11 +5,12 @@ perturbation X, so the physical curve is
 
     XX(s) = e^{is} + sum_k a_k e^{iks}.
 
-The base circle e^{is} is never stored; it is added back on synthesis.
+The base circle e^{is} is never stored.
 Coefficients follow the convention a_k = (1/2pi) integral X(s) e^{-iks} ds.
-All operations are pure functions over immutable values; every grid
-transform is one FFT of any even size M >= 2K+2, and every pointwise
-Fourier sum is one fourier_eval.
+All operations are pure functions over immutable values; the grid
+transforms of the perturbation are one FFT each (fourier_samples to any
+M-point grid, _grid_to_modes back), and every pointwise Fourier sum is one
+fourier_eval.
 
 half_kernel is the one (s, alpha) form of the half-angle kernel
 e^{-i alpha/2} / (2 sin(alpha/2)) shared by this module, the boundary
@@ -19,7 +20,6 @@ difference_quotient is the one quotient built on it, for Y~ here and for
 L_n in kernels.
 """
 
-import csv
 from dataclasses import dataclass
 from functools import partial
 
@@ -63,28 +63,9 @@ class CurveSplit:
     a0: complex
     a1: complex
     y_modes: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "y_modes", _frozen(self.y_modes))
-
-    @property
-    def K(self):
-        return (self.y_modes.size - 1) // 2
-
-
-@dataclass(frozen=True)
-class PhysicalGrid:
-    """Samples of the full curve XX(s_j) at s_j = 2 pi j / M."""
-    n_points: int
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _frozen(self.samples))
-
-    @property
-    def s(self):
-        return 2.0 * np.pi * np.arange(self.n_points) / self.n_points
 
 
 def wavenumbers(K):
@@ -112,43 +93,14 @@ def fourier_samples(k, coeff, M):
     return np.fft.ifft(spec) * M
 
 
-def _modes_to_grid(modes, M):
-    """Evaluate sum a_k e^{iks_j} on the M-point grid."""
-    return fourier_samples(wavenumbers((modes.size - 1) // 2), modes, M)
-
-
 def _grid_to_modes(values, K):
     """Modes k = -K..K of grid values (..., M), row by row."""
     M = values.shape[-1]
     return (np.fft.fft(values) / M).take(wavenumbers(K) % M, axis=-1)
 
 
-def _check_grid(M, K):
-    if M % 2 != 0:
-        raise ConfigError(f"grid size must be even, got {M}")
-    if M < 2 * K + 2:
-        raise ConfigError(f"grid size {M} too small for K={K} (need M >= 2K+2)")
-
-
-def synthesize(curve, M):
-    """Sample the full curve e^{is} + X on M equispaced points."""
-    _check_grid(M, curve.K)
-    s = 2.0 * np.pi * np.arange(M) / M
-    return PhysicalGrid(M, np.exp(1j * s) + _modes_to_grid(curve.modes, M))
-
-
-def analyze(grid, K):
-    """Recover perturbation coefficients from samples of the full curve.
-
-    Exact for band-limited input with M >= 2K+2.
-    """
-    _check_grid(grid.n_points, K)
-    x = grid.samples - np.exp(1j * grid.s)
-    return FourierCurve(_grid_to_modes(x, K))
-
-
 def split(curve):
-    """Extract (a0, a1, Y); reassemble() inverts it bit for bit."""
+    """Extract (a0, a1, Y): the modes k = 0 and 1, and the rest with those two zeroed."""
     y = np.array(curve.modes)
     K = curve.K
     a0 = complex(y[K])
@@ -156,15 +108,7 @@ def split(curve):
     y[K] = 0.0
     if K >= 1:
         y[K + 1] = 0.0
-    return CurveSplit(a0=a0, a1=a1, y_modes=y, time=curve.time)
-
-
-def reassemble(sp):
-    m = np.array(sp.y_modes)
-    m[sp.K] = sp.a0
-    if sp.K >= 1:
-        m[sp.K + 1] = sp.a1
-    return FourierCurve(m, sp.time)
+    return CurveSplit(a0=a0, a1=a1, y_modes=y)
 
 
 def derivative(curve):
@@ -245,12 +189,3 @@ def from_json_dict(d):
     if modes.size != 2 * int(d["K"]) + 1 or not np.all(np.isfinite([*modes, time])):
         raise ConfigError("snapshot modes length inconsistent with K, or a non-finite value")
     return FourierCurve(modes, time)
-
-
-def grid_to_csv(grid, path):
-    """Write physical samples as rows (s, Re XX, Im XX)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["s", "re_x", "im_x"])
-        for sj, xj in zip(grid.s, grid.samples):
-            w.writerow([repr(float(sj)), repr(float(xj.real)), repr(float(xj.imag))])

@@ -12,15 +12,14 @@ so a single mode e^{iks} has L^2 norm sqrt(2 pi).  The diagnostics:
     z2_weight(c, t)    adds the short-time factor (2^n t)^{-1/3} (t > 0)
     wiener_snapshot    weighted l^1 of coefficients with dyadic shells
     n_norm             the sequence-space counterpart over sampled times
-    norm_table         s, z1, z2 and w of a stack of snapshots, row for row
-                       norm_report's, a chunk of snapshots per pass
+    norm_table         s, z1, z2 and w of a stack of snapshots, each value the
+                       single-diagnostic function's, a chunk of snapshots per pass
 
 Block weights come from the same dyadic bumps as the kernel module, so
 the partition of unity holds at coefficient level: the blocks plus the
 k = 0 residual reconstruct the input exactly.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,41 +47,6 @@ def _block_weights(n, K):
     w = phi_weight(n, wavenumbers(K))
     w.flags.writeable = False
     return w
-
-
-def lp_project(c, n):
-    """Coefficients of the block P_n f: phi_n(k) c_k."""
-    if n < 0:
-        raise ConfigError("block index must be >= 0")
-    c = _as_coeffs(c)
-    return _block_weights(n, (c.size - 1) // 2) * c
-
-
-def low_residual(c):
-    """The k = 0 part not covered by any dyadic block."""
-    c = _as_coeffs(c)
-    out = np.zeros_like(c)
-    out[c.size // 2] = c[c.size // 2]
-    return out
-
-
-@dataclass(frozen=True)
-class DyadicDecomposition:
-    """Blocks P_n f plus the k = 0 residual; their sum is f exactly."""
-    blocks: tuple
-    residual: np.ndarray
-
-    def reconstruct(self):
-        return self.residual + sum(self.blocks)
-
-
-def decompose(c):
-    """Dyadic decomposition of a coefficient array."""
-    c = _as_coeffs(c)
-    K = (c.size - 1) // 2
-    return DyadicDecomposition(
-        blocks=tuple(lp_project(c, n) for n in range(n_blocks(K))),
-        residual=low_residual(c))
 
 
 def l2_norm(c):
@@ -182,39 +146,17 @@ def _z2_from(prof, t):
     return np.where(t == 0.0, at_zero, weighted.max(axis=-1, initial=0.0))
 
 
-@dataclass(frozen=True)
-class NormReport:
-    """All diagnostics of one snapshot, with the per-block contributions."""
-    s_norm: float
-    z1_snapshot: float
-    z2_snapshot: float
-    w_snapshot: float
-    block_profile: np.ndarray     # 2^{3n/2} |P_n f|_L2 per block
-
-
-def norm_report(c, t):
-    """Evaluate every diagnostic of a coefficient snapshot at time t.
-
-    The block profile and |f'|_Linf are computed once and shared; each
-    value equals the one its single-diagnostic function returns.
-    """
-    if t < 0:
-        raise ConfigError("norm report needs t >= 0")
-    c = _as_coeffs(c)
-    s, z1, z2, w, prof = _diagnostics(c, t)
-    return NormReport(s_norm=float(s), z1_snapshot=float(z1), z2_snapshot=float(z2),
-                      w_snapshot=float(w), block_profile=prof)
-
-
 TABLE_CHUNK = 16
 
 
 def norm_table(snapshots, times):
     """Rows [t, s_norm, z1, z2, w] of a (S, 2K+1) snapshot stack at S times.
 
-    Row i holds norm_report(snapshots[i], times[i]) bit for bit, as Python
-    floats.  The stack goes TABLE_CHUNK snapshots at a time, so the
-    |f'|_Linf grid never holds more than TABLE_CHUNK x 16K points.
+    Row i holds times[i] and the s_norm, z1_weight, z2_weight and
+    wiener_snapshot of snapshots[i] at times[i], bit for bit, as Python
+    floats; the four share one block profile and one |f'|_Linf.  The stack
+    goes TABLE_CHUNK snapshots at a time, so the |f'|_Linf grid never holds
+    more than TABLE_CHUNK x 16K points.
     """
     snapshots = np.asarray(snapshots, dtype=complex)
     times = np.asarray(times, dtype=float)
@@ -222,23 +164,23 @@ def norm_table(snapshots, times):
         raise ConfigError("norm table needs a (S, 2K+1) snapshot stack of odd row length "
                           "and one time per snapshot")
     if np.any(times < 0):
-        raise ConfigError("norm report needs t >= 0")
+        raise ConfigError("norm table needs t >= 0")
     rows = []
     for first in range(0, len(times), TABLE_CHUNK):
         t = times[first:first + TABLE_CHUNK]
-        columns = _diagnostics(snapshots[first:first + TABLE_CHUNK], t)[:4]
+        columns = _diagnostics(snapshots[first:first + TABLE_CHUNK], t)
         rows += [list(row) for row in zip(t.tolist(), *(col.tolist() for col in columns))]
     return rows
 
 
 def _diagnostics(c, t):
-    """(s_norm, z1, z2, w, block profile) of each row of a coefficient stack at times t."""
+    """(s_norm, z1, z2, w) of each row of a coefficient stack at times t."""
     k = wavenumbers((c.shape[-1] - 1) // 2)
     prof = _profile(c)
     d_inf = _sup(1j * k * c)
     mag = np.abs(c) * np.abs(k)
     return (_s_from(prof, d_inf), _z1_from(prof, d_inf, t), _z2_from(prof, t),
-            mag.sum(axis=-1) + _shell_sup(mag, t), prof)
+            mag.sum(axis=-1) + _shell_sup(mag, t))
 
 
 def _shell_sup(mag, t):

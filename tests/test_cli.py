@@ -435,13 +435,17 @@ class TestVerifyLinearization:
         {"law": {"law": "hookean"}, "delta": 0},
         {"law": {"law": "hookean"}, "delta": float("nan")},
         {"law": {"law": "hookean"}, "delta": "1e-6"},
+        {"law": {"law": "cubic"}, "delta": 1e308},
+        {"law": {"law": "cubic"}, "delta": 0.02},
         {"law": {"law": "hookean"}, "zz": 1},
         {"law": {"law": "hookean"}, "a1": [float("nan"), 0.0]},
     ], ids=["no-law", "k-max-string", "k-max-negative", "k-max-0",
-            "delta-zero", "delta-nan", "delta-string", "unknown-key", "a1-nan"])
+            "delta-zero", "delta-nan", "delta-string", "delta-huge", "delta-above-bound",
+            "unknown-key", "a1-nan"])
     def test_bad_config_exit_code(self, tmp_path, config):
         # k_max = 0 checks no mode, and delta = 0 makes the Jacobian NaN:
-        # either would pass on nothing
+        # either would pass on nothing; a delta above 1e-2 cannot pass, and
+        # 1e308 overflows the perturbed curve
         cfg = write_config(tmp_path / "l.json", config)
         assert main(["verify-linearization", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG

@@ -3,10 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from peskin2d import (ConfigError, FourierCurve, analyze, derivative, eval_y,
-                      from_json_dict, grid_to_csv, reassemble, split,
-                      synthesize, to_json_dict, y_tilde)
-from peskin2d.curve import _dft_direct, wavenumbers
+from peskin2d import (FourierCurve, derivative, eval_y, from_json_dict, split,
+                      to_json_dict, y_tilde)
+from peskin2d.curve import _dft_direct, _grid_to_modes, fourier_samples, wavenumbers
 
 from conftest import random_y_modes
 
@@ -18,44 +17,51 @@ def make_curve(K, assign):
     return FourierCurve(modes)
 
 
+def grid(M):
+    return 2 * np.pi * np.arange(M) / M
+
+
+def samples(curve, M):
+    """The perturbation X on the M-point grid."""
+    return fourier_samples(wavenumbers(curve.K), curve.modes, M)
+
+
 class TestSynthesize:
     def test_unit_circle(self):
-        grid = synthesize(make_curve(3, {}), 8)
-        assert np.allclose(grid.samples, np.exp(1j * grid.s), atol=1e-15)
+        # the base circle e^{is} as the pure first mode, on the smallest grid M = 2K+2
+        assert np.allclose(samples(make_curve(3, {1: 1.0}), 8), np.exp(1j * grid(8)), atol=1e-15)
 
     def test_single_mode(self):
-        grid = synthesize(make_curve(4, {2: 0.1}), 16)
-        expect = np.exp(1j * grid.s) + 0.1 * np.exp(2j * grid.s)
-        assert np.allclose(grid.samples, expect, atol=1e-15)
-
-    def test_rejects_bad_grid(self):
-        with pytest.raises(ConfigError):
-            synthesize(make_curve(4, {}), 15)  # odd
-        with pytest.raises(ConfigError):
-            synthesize(make_curve(8, {}), 16)  # < 2K+2
+        expect = 0.1 * np.exp(2j * grid(16))
+        assert np.allclose(samples(make_curve(4, {2: 0.1}), 16), expect, atol=1e-15)
 
     def test_round_trip_random(self, rng):
         K, M = 32, 128
         curve = FourierCurve(random_y_modes(rng, K, decay=1.5, amp=0.1))
-        back = analyze(synthesize(curve, M), K)
-        assert np.abs(back.modes - curve.modes).max() < 1e-13
+        back = _grid_to_modes(samples(curve, M), K)
+        assert np.abs(back - curve.modes).max() < 1e-13
+
+    def test_stack_rows_match_one_dimensional_calls(self, rng):
+        # each row of a stacked synthesis is bit for bit its own 1-d call
+        K, M = 12, 48
+        k = wavenumbers(K)
+        stack = np.stack([random_y_modes(rng, K, amp=a) for a in (1e-3, 0.1, 0.7)])
+        got = fourier_samples(k, stack, M)
+        for row, coeff in zip(got, stack):
+            assert np.array_equal(row, fourier_samples(k, coeff, M))
 
 
 class TestAnalyze:
     def test_pure_third_mode(self):
-        s = 2 * np.pi * np.arange(16) / 16
-        from peskin2d.curve import PhysicalGrid
-        grid = PhysicalGrid(16, np.exp(1j * s) + np.exp(3j * s))
-        curve = analyze(grid, 5)
         expect = np.zeros(11, complex)
         expect[5 + 3] = 1.0
-        assert np.abs(curve.modes - expect).max() < 1e-14
+        assert np.abs(_grid_to_modes(np.exp(3j * grid(16)), 5) - expect).max() < 1e-14
 
     def test_unit_circle_gives_zero(self):
-        s = 2 * np.pi * np.arange(16) / 16
-        from peskin2d.curve import PhysicalGrid
-        curve = analyze(PhysicalGrid(16, np.exp(1j * s)), 5)
-        assert np.abs(curve.modes).max() < 1e-15
+        # samples of the unit circle give zero in every mode but the first
+        modes = _grid_to_modes(np.exp(1j * grid(16)), 5)
+        assert abs(modes[5 + 1] - 1.0) < 1e-15
+        assert np.abs(np.delete(modes, 5 + 1)).max() < 1e-15
 
     def test_direct_dft_matches_fft(self, rng):
         # the slow path is the oracle for the fast path
@@ -65,20 +71,29 @@ class TestAnalyze:
         fast = np.fft.fft(vals)[k % 64] / 64
         assert np.abs(_dft_direct(vals, K) - fast).max() < 1e-13
 
+    @pytest.mark.parametrize("M", [36, 64, 100])
+    def test_grid_to_modes_matches_direct_dft(self, rng, M):
+        # the package's forward transform against the O(M^2) oracle, row by row
+        K = 16
+        vals = rng.normal(size=(3, M)) + 1j * rng.normal(size=(3, M))
+        got = _grid_to_modes(vals, K)
+        assert got.shape == (3, 2 * K + 1)
+        for row, v in zip(got, vals):
+            assert np.abs(row - _dft_direct(v, K)).max() < 1e-13
+
     def test_non_pow2_grid(self, rng):
         K, M = 8, 36
         curve = FourierCurve(random_y_modes(rng, K, amp=0.2))
-        back = analyze(synthesize(curve, M), K)
-        assert np.abs(back.modes - curve.modes).max() < 1e-13
+        back = _grid_to_modes(samples(curve, M), K)
+        assert np.abs(back - curve.modes).max() < 1e-13
 
     @pytest.mark.parametrize("M", [36, 100, 162])
     def test_non_pow2_synthesis_matches_direct_sum(self, rng, M):
-        # the FFT path against e^{is_j} + sum_k a_k e^{iks_j}, summed directly
+        # the FFT path against sum_k a_k e^{iks_j}, summed directly
         K = 16
         curve = FourierCurve(random_y_modes(rng, K, amp=0.2))
-        s = 2 * np.pi * np.arange(M) / M
-        direct = np.exp(1j * s) + np.exp(1j * np.outer(s, wavenumbers(K))) @ curve.modes
-        assert np.abs(synthesize(curve, M).samples - direct).max() < 1e-13
+        direct = np.exp(1j * np.outer(grid(M), wavenumbers(K))) @ curve.modes
+        assert np.abs(samples(curve, M) - direct).max() < 1e-13
 
 
 class TestSplit:
@@ -92,12 +107,6 @@ class TestSplit:
         assert sp.a1 == 0.2
         assert sp.y_modes[6 + 5] == 0.01
         assert sp.y_modes[6 + 1] == 0
-
-    def test_reassembly_identity(self, rng):
-        modes = rng.normal(size=21) + 1j * rng.normal(size=21)
-        curve = FourierCurve(modes)
-        back = reassemble(split(curve))
-        assert np.array_equal(back.modes, curve.modes)
 
 
 class TestDerivative:
@@ -113,13 +122,12 @@ class TestDerivative:
         # perturbation-sized data: truncation error of the stencil stays below 1e-8
         K, M = 16, 256
         curve = FourierCurve(random_y_modes(rng, K, decay=3.0, amp=1e-4))
-        from peskin2d.curve import _modes_to_grid
-        x = _modes_to_grid(curve.modes, M)
+        x = samples(curve, M)
         h = 2 * np.pi / M
         # 4th-order centered stencil on the periodic samples
         fd = (-np.roll(x, -2) + 8 * np.roll(x, -1)
               - 8 * np.roll(x, 1) + np.roll(x, 2)) / (12 * h)
-        spectral = _modes_to_grid(derivative(curve), M)
+        spectral = fourier_samples(wavenumbers(K), derivative(curve), M)
         assert np.abs(fd - spectral).max() < 1e-8
 
 
@@ -163,8 +171,7 @@ class TestInvariants:
     def test_parseval(self, rng):
         K, M = 16, 128
         curve = FourierCurve(random_y_modes(rng, K, amp=0.5))
-        grid = synthesize(curve, M)
-        x = grid.samples - np.exp(1j * grid.s)
+        x = samples(curve, M)
         grid_energy = np.sum(np.abs(x) ** 2) / M  # (1/2pi) integral |X|^2
         coeff_energy = np.sum(np.abs(curve.modes) ** 2)
         assert grid_energy == pytest.approx(coeff_energy, rel=1e-12)
@@ -172,17 +179,16 @@ class TestInvariants:
     def test_translation_equivariance(self, rng):
         K, M = 8, 64
         curve = FourierCurve(random_y_modes(rng, K, amp=0.3))
-        grid = synthesize(curve, M)
-        shifted = np.roll(grid.samples, -1)  # samples at s_j + 2pi/M
-        from peskin2d.curve import PhysicalGrid
-        back = analyze(PhysicalGrid(M, shifted), K)
+        circle = np.exp(1j * grid(M))
+        shifted = np.roll(circle + samples(curve, M), -1)  # full curve at s_j + 2pi/M
+        back = _grid_to_modes(shifted - circle, K)
         k = wavenumbers(K)
         h = 2 * np.pi / M
         # every mode of the full curve picks up e^{ikh}; in perturbation
         # coordinates the shifted base circle leaves (e^{ih}-1) on mode 1
         expect = curve.modes * np.exp(1j * k * h)
         expect[K + 1] += np.exp(1j * h) - 1.0
-        assert np.abs(back.modes - expect).max() < 1e-13
+        assert np.abs(back - expect).max() < 1e-13
 
 
 class TestSerialization:
@@ -206,12 +212,3 @@ class TestSerialization:
         assert json.dumps(to_json_dict(curve)) == json.dumps(old)
         assert "-0.0" in json.dumps(to_json_dict(curve))
 
-    def test_csv_export(self, tmp_path):
-        grid = synthesize(make_curve(3, {2: 0.1}), 8)
-        path = tmp_path / "curve.csv"
-        grid_to_csv(grid, path)
-        rows = path.read_text().strip().split("\n")
-        assert rows[0] == "s,re_x,im_x"
-        assert len(rows) == 9
-        s0, re0, im0 = map(float, rows[1].split(","))
-        assert (s0, re0, im0) == (0.0, pytest.approx(1.1), pytest.approx(0.0))

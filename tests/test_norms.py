@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from peskin2d import (l2_norm, lp_project, n_norm, s_norm,
+from peskin2d import (l2_norm, n_norm, s_norm,
                       wiener_snapshot, z1_algebra_check, z1_weight, z2_weight)
+from peskin2d.curve import wavenumbers
 from peskin2d.kernels import phi_weight
-from peskin2d.norms import block_l2_profile, convolve_coeffs, decompose
+from peskin2d.norms import (_block_weights, _profile_factors, block_l2_profile,
+                            convolve_coeffs)
 
 from conftest import random_y_modes
 
@@ -18,41 +20,46 @@ def single_mode(K, k, amp=1.0):
 class TestProjection:
     def test_single_mode_weight(self):
         c = single_mode(8, 2)
-        got = lp_project(c, 1)
+        got = _block_weights(1, 8) * c
         assert got[8 + 2] == phi_weight(1, 2)  # = 1: mode 2 lives in block 1
         assert got[8 + 2] == 1.0
 
     def test_partition_reconstruction(self, rng):
+        # the weighted blocks plus the k = 0 residual rebuild c
         c = rng.normal(size=33) + 1j * rng.normal(size=33)
-        dec = decompose(c)
-        assert np.abs(dec.reconstruct() - c).max() < 1e-15
+        weights, _ = _profile_factors(16)
+        residual = np.where(wavenumbers(16) == 0, c, 0.0)
+        assert np.abs(residual + (weights * c).sum(axis=0) - c).max() < 1e-15
+
+    # A norm report is one row of norm_table: the snapshot's time and its
+    # s_norm, z1, z2 and Wiener values, sharing one stacked block profile.
 
     def test_norm_report_bundle(self, rng):
-        from peskin2d.norms import norm_report
+        from peskin2d.norms import _profile, norm_table
         c = random_y_modes(rng, 16, amp=0.1)
-        rep = norm_report(c, 0.5)
-        assert rep.s_norm == pytest.approx(s_norm(c), rel=1e-14)
-        assert rep.z1_snapshot == pytest.approx(z1_weight(c, 0.5), rel=1e-14)
-        assert rep.w_snapshot == pytest.approx(wiener_snapshot(c, 0.5), rel=1e-14)
-        assert np.all(rep.block_profile >= 0)
+        (row,) = norm_table(c[None], [0.5])
+        assert row[0] == 0.5
+        assert row[1] == pytest.approx(s_norm(c), rel=1e-14)
+        assert row[2] == pytest.approx(z1_weight(c, 0.5), rel=1e-14)
+        assert row[4] == pytest.approx(wiener_snapshot(c, 0.5), rel=1e-14)
+        assert np.all(_profile(c[None]) >= 0)
 
     @pytest.mark.parametrize("t", [0.0, 0.02, 1.5])
     def test_norm_report_equals_single_diagnostics(self, rng, t):
         # measure-norms writes the report's values with repr(), so sharing
         # the block profile must not move a single bit
-        from peskin2d.norms import norm_report
+        from peskin2d.norms import _profile, norm_table
         c = random_y_modes(rng, 64, amp=0.1)
-        rep = norm_report(c, t)
-        assert rep.s_norm == s_norm(c)
-        assert rep.z1_snapshot == z1_weight(c, t)
-        assert rep.z2_snapshot == z2_weight(c, t)
-        assert rep.w_snapshot == wiener_snapshot(c, t)
-        assert np.array_equal(rep.block_profile, block_l2_profile(c))
+        (row,) = norm_table(c[None], [t])
+        assert row == [t, s_norm(c), z1_weight(c, t), z2_weight(c, t),
+                       wiener_snapshot(c, t)]
+        assert np.array_equal(_profile(c[None])[0], block_l2_profile(c))
 
     def test_norm_table_equals_norm_report_row_by_row(self, rng):
-        # measure-norms writes the table with repr(): every value must be the
-        # report's to the bit, including z2 = inf at t = 0, and a Python float
-        from peskin2d.norms import TABLE_CHUNK, norm_report, norm_table
+        # measure-norms writes the table with repr(): every report value must
+        # be its single-diagnostic function's to the bit, including z2 = inf
+        # at t = 0 and 0 for the zero snapshot, and each a Python float
+        from peskin2d.norms import TABLE_CHUNK, norm_table
         S = 2 * TABLE_CHUNK + 5
         snaps = np.stack([random_y_modes(rng, 64, amp=a) for a in np.geomspace(1e-4, 1e-1, S)])
         snaps[1] = 0.0
@@ -60,8 +67,8 @@ class TestProjection:
         table = norm_table(snaps, times)
         assert len(table) == S
         for row, c, t in zip(table, snaps, times):
-            rep = norm_report(c, t)
-            assert row == [t, rep.s_norm, rep.z1_snapshot, rep.z2_snapshot, rep.w_snapshot]
+            assert row == [t, s_norm(c), z1_weight(c, t), z2_weight(c, t),
+                           wiener_snapshot(c, t)]
             assert all(type(v) is float for v in row)
         assert table[0][3] == float("inf") and table[1][3] == 0.0
 
@@ -79,7 +86,7 @@ class TestProjection:
 
     def test_parseval_vs_grid_quadrature(self, rng):
         c = random_y_modes(rng, 16, amp=0.7)
-        block = lp_project(c, 2)
+        block = _block_weights(2, 16) * c
         M = 256
         k = np.arange(-16, 17)
         sgrid = 2 * np.pi * np.arange(M) / M
