@@ -18,8 +18,11 @@ integral in nonlin and the difference kernels in kernels; near_zero marks
 the offsets where its removable singularity needs the limit form, and
 difference_quotient is the one quotient built on it, for Y~ here and for
 L_n in kernels.
+
+thread_scratch holds the tiles of nonlin and the lattice chunks of kernels.
 """
 
+import threading
 from dataclasses import dataclass
 from functools import partial
 
@@ -91,6 +94,22 @@ def fourier_samples(k, coeff, M):
     spec = np.zeros(np.shape(coeff)[:-1] + (M,), dtype=complex)
     spec.T[k % M] += coeff.T     # the last axis; an Ellipsis index is twice as slow
     return np.fft.ifft(spec) * M
+
+
+_scratch = threading.local()
+
+
+def thread_scratch(size):
+    """The calling thread's scratch buffer: a complex array of at least size elements.
+
+    It grows to the thread's largest request, never shrinks, and is freed
+    when the thread exits.  Every request reuses the same memory: callers
+    carve typed views from it in element units, all before a scan starts.
+    """
+    buf = getattr(_scratch, "buffer", None)
+    if buf is None or buf.size < size:
+        buf = _scratch.buffer = np.empty(size, dtype=complex)
+    return buf
 
 
 def _grid_to_modes(values, K):

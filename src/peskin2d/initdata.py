@@ -17,6 +17,10 @@ from .curve import FourierCurve, split, wavenumbers
 from .errors import REQUIRED, ConfigError, GeometryError, read_config
 from .nonlin import CHORD_ARC_MIN, chord_arc_ratio
 
+# largest real or imaginary part of an initial mode: at K = 2048 the squares of
+# the chord-arc check can overflow past about 4e146, those of l2_norm past 1.5e152
+MODE_MAX = 1e100
+
 
 def tent_hat(j, width):
     """Fourier coefficients of the periodic unit tent max(0, 1 - |s|/width).
@@ -79,8 +83,10 @@ def make_corner(K, positions, strengths, amplitude, width=1.0):
 
     unit = _corner_modes(K, [0.0], [1.0], width)
     scale = norms.s_norm(unit)
-    modes = amplitude / scale * _corner_modes(K, positions, strengths, width)
+    with np.errstate(over="ignore", invalid="ignore"):  # _require_size rejects an overflow
+        modes = amplitude / scale * _corner_modes(K, positions, strengths, width)
     curve = FourierCurve(modes)
+    _require_size(curve.modes, "corner data")
     _require_chord_arc(curve)
     return curve
 
@@ -139,7 +145,8 @@ def make_random_decay(K, exponent, seed, amplitude):
     mag = np.zeros(k.size)
     nz = k != 0
     mag[nz] = np.abs(k[nz]).astype(float) ** (-float(exponent))
-    modes = amplitude * np.exp(1j * theta) * mag
+    with np.errstate(over="ignore", invalid="ignore"):  # InitialDataSpec.make rejects it
+        modes = amplitude * np.exp(1j * theta) * mag
     modes[K + 0] = 0.0
     if K >= 1:
         modes[K + 1] = 0.0
@@ -152,7 +159,8 @@ def rescale_to_norm(curve, norm_name, value):
     Both norms are positively homogeneous, so the rescale is exact and
     idempotent up to roundoff.  The modes are first scaled by the power of
     two that brings max |a_k| into [1/2, 1), which changes no rounding and
-    keeps |a_k|^2 from underflowing at any amplitude.
+    keeps |a_k|^2 from underflowing at any amplitude.  A value that needs a
+    factor past MODE_MAX on those modes is a ConfigError.
     """
     exponent = np.frexp(np.abs(curve.modes).max())[1]
     modes = np.ldexp(curve.modes.view(float), -exponent).view(complex)
@@ -164,7 +172,21 @@ def rescale_to_norm(curve, norm_name, value):
         raise ConfigError(f"unknown target norm {norm_name!r} (use 's' or 'w')")
     if current == 0.0:
         raise ConfigError("cannot rescale identically zero data")
+    if value / current > MODE_MAX:   # a Python float: an overflow is a quiet inf
+        raise ConfigError(f"target {norm_name}-norm {value:g} needs modes past {MODE_MAX:g}")
     return FourierCurve(modes * (value / current), curve.time)
+
+
+def _require_size(modes, what):
+    """Reject modes with a real or imaginary part past MODE_MAX, inf included.
+
+    A NaN part passes here: it overflows nothing, and InitialDataSpec.make
+    rejects every non-finite mode.
+    """
+    largest = np.fmax.reduce(np.abs(modes.view(float)), initial=0.0)
+    if largest > MODE_MAX:
+        raise ConfigError(f"{what} has a mode part of size {largest:.3g}, "
+                          f"past the initial-data bound {MODE_MAX:g}")
 
 
 def _require_chord_arc(curve):
@@ -210,7 +232,8 @@ class InitialDataSpec:
         """Generate the curve at truncation K (corner data: corner_report describes it)."""
         # looked up per call, so a replaced make_<kind> takes effect
         curve = globals()[f"make_{self.kind}"](K, **self.params)
-        if self.target_norm is not None:
+        _require_size(curve.modes, f"initial data {self.kind!r}")
+        if self.target_norm is not None:   # keeps the modes within MODE_MAX
             curve = rescale_to_norm(curve, *self.target_norm)
         if not np.all(np.isfinite(curve.modes)):
             raise ConfigError(f"initial data {self.kind!r} has non-finite modes")

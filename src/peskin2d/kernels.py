@@ -30,19 +30,21 @@ is folded to the distinct |alpha|, and the shifted rows psi_n(s_j - a)
 for a in {alpha, alpha + h, alpha - h} come from one batched real
 inverse FFT of the k >= 0 half spectrum per block, in chunks capped at
 _CHUNK_SAMPLES samples.  Every chunk writes its spectra, rows and
-temporaries into one cached scratch set per thread (about 0.8 MiB,
-shared by all blocks), so a warm fit allocates nothing of a chunk's
-size.  Against one complex transform per field and alpha the fitted
-constants agree to about 1e-13 relative; l_tilde_dalpha_sharp to about 3e-11, because the
-central difference at relative step 1e-5 magnifies roundoff by about 1/h.
+temporaries (about 0.6 MiB) into curve.thread_scratch, the thread's one
+scratch buffer: as large as its largest request, shared with the
+boundary integral's tiles, freed when the thread exits.  So a warm fit
+allocates nothing of a chunk's size.  Against one complex transform per
+field and alpha the fitted constants agree to about 1e-13 relative;
+l_tilde_dalpha_sharp to about 3e-11, because the central difference at
+relative step 1e-5 magnifies roundoff by about 1/h.
 """
 
-import threading
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .curve import difference_quotient, fourier_eval, fourier_samples, half_kernel, wavenumbers
+from .curve import (difference_quotient, fourier_eval, fourier_samples, half_kernel,
+                    thread_scratch, wavenumbers)
 from .errors import ConfigError
 
 # ---------------------------------------------------------------------------
@@ -237,18 +239,6 @@ def psi_l1_norm(n, order=0):
     return float(np.abs(vals).sum() * 2.0 * np.pi / M)
 
 
-@lru_cache(maxsize=2)
-def _chunk_scratch(samples, thread):
-    """Flat scratch for lattice chunks of up to samples = 3 x rows x M real samples.
-
-    Holds the half spectra (3 x rows x (M/2 + 1) complex, within samples
-    for M >= 2), the shifted rows (3 x rows x M) and one rows x M
-    temporary.  Every block n and grid M of one thread (threading.get_ident())
-    takes views of the same memory.
-    """
-    return np.empty(samples, dtype=complex), np.empty(samples), np.empty(samples // 3)
-
-
 def _l1_rows(n, alphas, M):
     """L^1 norms over s of L_n, L~_n and d_alpha L~_n, one value per alpha.
 
@@ -259,8 +249,8 @@ def _l1_rows(n, alphas, M):
     alpha - h}; they come from one batched real inverse FFT per chunk of
     _CHUNK_SAMPLES samples, and every norm is summed in real arithmetic:
     the half kernel is a scalar factor per row.  Every temporary of a
-    chunk's size lives in _chunk_scratch, so a warm call allocates only
-    per-alpha vectors and the rows x |kp| phases.
+    chunk's size is a view of curve.thread_scratch, so a warm call
+    allocates only per-alpha vectors and the rows x |kp| phases.
     """
     alphas = np.asarray(alphas, dtype=float)
     factors = _clamped(alphas, n)
@@ -270,12 +260,12 @@ def _l1_rows(n, alphas, M):
     steps = 1e-5 * np.maximum(np.abs(alphas), 2.0 ** (-n))
     out = np.empty((3, alphas.size))
     rows = max(1, _CHUNK_SAMPLES // (3 * M))
-    spec_buf, shifted_buf, tmp_buf = _chunk_scratch(max(_CHUNK_SAMPLES, 3 * M),
-                                                 threading.get_ident())
-    spec_all = spec_buf[:3 * rows * (M // 2 + 1)].reshape(3, rows, M // 2 + 1)
+    n_spec, n_rows = 3 * rows * (M // 2 + 1), rows * M   # complex and real elements
+    buf = thread_scratch(n_spec + 2 * n_rows)
+    spec_all = buf[:n_spec].reshape(3, rows, M // 2 + 1)
     spec_all.fill(0.0)  # only the kp columns are written below
-    shifted_all = shifted_buf[:3 * rows * M].reshape(3, rows, M)
-    tmp_all = tmp_buf[:rows * M].reshape(rows, M)
+    real = buf[n_spec:n_spec + 2 * n_rows].view(float).reshape(4, rows, M)
+    shifted_all, tmp_all = real[:3], real[3]
     for lo in range(0, alphas.size, rows):
         a, h, f = (x[lo:lo + rows] for x in (alphas, steps, factors))
         spec, diff, tmp = spec_all[:, :a.size], shifted_all[:, :a.size], tmp_all[:a.size]

@@ -40,15 +40,15 @@ window depends on M alone.  The sum runs over tiles of outer points, and
 no M x M array is formed.  A tile holds max(TILE_ROWS, TILE_POINTS // M)
 rows, but no more than the B M rows of a B-curve stack: 64 at M = 256,
 and 32 from M = 512 up, so each pass's fixed cost is spread over at
-least TILE_POINTS points where the grid has them.  Three caches serve
-each M: the read-only O(M) workspace, the phase window, and per thread
-one writable set of four tile scratch arrays per tile height (48 bytes a
-point: about 0.75 MiB at M = 256, 1.5 MiB at M = 1024) that every tile
-pass writes into with out=, so no call allocates a tile-sized array and
-threads may evaluate at the same M at once.  The passes run with a
-one-row ufunc buffer, so numpy reads strided and broadcast operands in
-place instead of copying them.  Row sums are numpy reductions in a fixed order, not
-BLAS calls, so the result does not depend on the BLAS thread count.
+least TILE_POINTS points where the grid has them.  Two caches serve
+each M: the read-only O(M) workspace and the phase window.  Every tile
+pass writes with out= into four arrays (48 bytes a point: 0.75 MiB at
+M = 256) carved from curve.thread_scratch, the thread's one scratch
+buffer: as large as its largest request, shared with the kernel lattice,
+freed when the thread exits.  So no warm call allocates a tile-sized
+array, and threads may evaluate at once.  The passes run with a one-row
+ufunc buffer, so numpy reads strided and broadcast operands in place.
+Row sums are numpy reductions in a fixed order, not BLAS calls.
 
 Every evaluation runs on a stack of curves, modes (B, 2K+1): one curve
 is a stack of one, and eval_nonlinearity_stack and the finite-difference
@@ -62,14 +62,14 @@ pass's O(B M) arrays stay near STACK_POINTS values.
 """
 
 import contextlib
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .curve import _grid_to_modes, fourier_samples, half_kernel, split, wavenumbers
+from .curve import (_grid_to_modes, fourier_samples, half_kernel, split, thread_scratch,
+                    wavenumbers)
 from .errors import ConfigError, GeometryError, StepRejected
 from .linear import pair_apply, pair_layout, pair_matrices, pair_modes
 from .tension import linear_coefficients, small_t
@@ -115,17 +115,6 @@ def _workspace(M):
 def _phase_rows(M):
     """The (M, M) window of i e^{-ir/2} at r = s_j - alpha_q: it depends on M alone."""
     return _alpha_rows(_workspace(M)[3], -1.0)
-
-
-@lru_cache(maxsize=4)
-def _tile_buffers(rows, M, thread):
-    """Scratch for one tile of rows x M points: b, b^2, |b|^2 and a real temporary.
-
-    Reused by every tile scan of one thread (threading.get_ident()) at this
-    (rows, M); a short last tile takes the leading [:n] rows.
-    """
-    return (np.empty((rows, M), dtype=complex), np.empty((rows, M), dtype=complex),
-            np.empty((rows, M)), np.empty((rows, M)))
 
 
 @contextlib.contextmanager
@@ -177,15 +166,16 @@ def _stack_chunk(M):
 
 
 def _tile_views(B, M):
-    """The thread's _tile_buffers as (B, height, M) arrays, for B <= _tile_rows(M).
+    """b, b^2, |b|^2 and a real temporary: (B, height, M) views of thread_scratch.
 
-    A tile holds the same rows of each of the B curves, at most M of
-    each.  A short last tile takes the leading [:, :n, :] rows.
+    For B <= _tile_rows(M), a tile holds the same rows of each curve, at
+    most M of each; a short last tile takes the leading [:, :n, :] rows.
+    _grid_values and its _chord_tiles scan get the same four views.
     """
-    rows = min(_tile_rows(M), B * M)
-    height = rows // B
-    return tuple(a[:B * height].reshape(B, height, M)
-                 for a in _tile_buffers(rows, M, threading.get_ident()))
+    shape = (2, B, min(_tile_rows(M), B * M) // B, M)
+    n = shape[1] * shape[2] * M
+    buf = thread_scratch(3 * n)
+    return (*buf[:2 * n].reshape(shape), *buf[2 * n:3 * n].view(float).reshape(shape))
 
 
 def _chord_tiles(xs, xr, M):
@@ -262,7 +252,7 @@ def eval_nonlinearity(curve, law, M):
     dealiased accuracy); every mode finite (else StepRejected); the
     sampled chord-arc ratio must exceed 0.1 (else GeometryError) and the
     stretch |XX'| must stay inside the law's validity interval (else
-    TensionDomainError).  Each thread has its own tile scratch.
+    TensionDomainError).  Threads may evaluate at once.
     """
     grid_values = _grid_values(curve.modes[None], law, M)[0]
     return NonlinearityEvaluation(n_modes=_grid_to_modes(grid_values, curve.K),

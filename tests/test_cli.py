@@ -26,20 +26,31 @@ SUBCOMMANDS = ("simulate", "linear-spectrum", "verify-kernels",
 
 
 def src_env(**extra):
-    """Environment for a fresh interpreter that imports the package from src."""
+    """Environment for a fresh interpreter that imports the package from src.
+
+    PYTHONWARNINGS carries pyproject's pytest filterwarnings (such as
+    error::RuntimeWarning), so a warning fails a test in a child
+    interpreter as it does in-process.
+    """
     pythonpath = os.pathsep.join(
         p for p in (str(REPO / "src"), os.environ.get("PYTHONPATH")) if p)
-    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+    filters = pyproject()["tool"]["pytest"]["ini_options"]["filterwarnings"]
+    warnings = ",".join(p for p in (os.environ.get("PYTHONWARNINGS"), *filters) if p)
+    return dict(os.environ, PYTHONPATH=pythonpath, PYTHONWARNINGS=warnings, **extra)
 
 
-def declared_console_script():
-    """The `peskin2d` entry of [project.scripts] in pyproject.toml."""
+def pyproject():
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     with open(REPO / "pyproject.toml", "rb") as fh:
-        scripts = tomllib.load(fh)["project"].get("scripts", {})
+        return tomllib.load(fh)
+
+
+def declared_console_script():
+    """The `peskin2d` entry of [project.scripts] in pyproject.toml."""
+    scripts = pyproject()["project"].get("scripts", {})
     assert "peskin2d" in scripts, scripts
     return scripts["peskin2d"]
 
@@ -166,6 +177,21 @@ class TestSimulate:
         monkeypatch.setattr(initdata, "_tent_tail_w", refuse)
         code, _ = simulate(tmp_path, dict(SIM_CONFIG, initial_data=initial, t_end=0.5))
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("initial", [
+        {"kind": "single_mode", "k": 2, "amplitude": 1e200},
+        {"kind": "random_decay", "target_norm": ["s", 1e200]},
+        {"kind": "corner", "positions": [0.0], "strengths": [1e300]},
+    ], ids=["single-mode-1e200", "random-decay-target-1e200", "corner-strength-1e300"])
+    def test_initial_data_near_the_float_range(self, tmp_path, initial):
+        # modes past about 1e154 overflowed the squares of l2_norm and of the
+        # chord-arc check: a RuntimeWarning, or l2_Y = inf in row 0 and exit 4
+        code, out = simulate(tmp_path, dict(SIM_CONFIG, initial_data=initial))
+        assert code == EXIT_CONFIG
+        assert not snapshot_names(out)
+        with open(os.path.join(out, "diagnostics.csv")) as fh:
+            values = [float(v) for row in list(csv.reader(fh))[1:] for v in row]
+        assert all(map(math.isfinite, values))
 
     def test_deterministic_outputs(self, tmp_path):
         config = dict(SIM_CONFIG)

@@ -1,5 +1,8 @@
 import contextlib
+import gc
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,8 +12,10 @@ from peskin2d import (FourierCurve, GeometryError, StepRejected,
                       TensionDomainError, TensionLaw, cubic, eval_nonlinearity,
                       eval_residual, hookean,
                       linear_coefficients, linear_mode_rhs, nonlin, split)
+import peskin2d.curve
 from peskin2d.curve import wavenumbers
 from peskin2d.errors import ConfigError
+from peskin2d.kernels import _l1_rows, dyadic_alphas, fit_kernel_bounds
 from peskin2d.nonlin import chord_arc_ratio
 
 from conftest import in_threads, random_y_modes
@@ -531,6 +536,49 @@ class TestStack:
         got = nonlin.jacobian_errors(law, a1, k_max, delta, M)
         assert np.array_equal(got, want)
         assert got.max() <= 1e-6
+
+
+class TestThreadScratch:
+    # the tile scans and the kernel lattice's chunks take their views of one
+    # buffer per thread (curve.thread_scratch)
+    def test_one_buffer_serves_every_pass_of_a_thread(self, cubic_law):
+        # the M = 256 tiles are the largest request (64 x 256 points at 48
+        # bytes); a default fit and a 25-curve stack at M = 160 fit inside it
+        curve, stack = random_curve(64, 31), random_stack(16, 25, 32)
+        results, buffers = [], []
+
+        def work():
+            for job in (lambda: eval_nonlinearity(curve, cubic_law, 256),
+                        fit_kernel_bounds,
+                        lambda: nonlin.eval_nonlinearity_stack(stack, cubic_law, 160),
+                        lambda: eval_nonlinearity(curve, cubic_law, 256)):
+                results.append(job())
+                buffers.append(peskin2d.curve._scratch.buffer)
+            buffers.append(weakref.ref(buffers[0]))
+
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and len(results) == 4
+        first, *_, again = results
+        assert np.array_equal(again.n_modes, first.n_modes)
+        assert np.array_equal(again.grid_values, first.grid_values)
+        *held, freed = buffers
+        assert all(buf is held[0] for buf in held)
+        assert held[0].nbytes == 48 * 64 * 256
+        del buffers, held
+        gc.collect()
+        assert freed() is None, "the buffer outlived its thread"
+
+    def test_threads_mixing_lattice_and_tiles_match_serial(self, cubic_law):
+        curves = [random_curve(16, seed) for seed in (41, 42)]
+        alphas = dyadic_alphas(2)[:21]
+        jobs = [lambda c=c: eval_nonlinearity(c, cubic_law, 128).grid_values for c in curves]
+        jobs += [lambda n=n: _l1_rows(n, alphas, 256) for n in (1, 3)]
+        refs = [job() for job in jobs]
+        for ref, results in zip(refs, in_threads(jobs, calls=30)):
+            bad = [r for r in results if isinstance(r, Exception) or not np.array_equal(r, ref)]
+            assert not bad, f"{len(bad)} of {len(results)} calls differ"
 
 
 @contextlib.contextmanager
