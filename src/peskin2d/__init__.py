@@ -11,8 +11,8 @@ dyadic norm diagnostics that quantify all of this.
 
 __version__ = "0.1.0"
 
-from .curve import (CurveSplit, FourierCurve, derivative, eval_y,
-                    from_json_dict, split, to_json_dict, y_tilde)
+from .curve import (CurveSplit, FourierCurve, derivative, from_json_dict, split,
+                    to_json_dict)
 from .errors import (ConfigError, GeometryError, IllConditioned,
                      InsufficientDecay, PeskinError, StepRejected,
                      TensionDomainError)
@@ -21,12 +21,11 @@ from .initdata import (InitialDataSpec, corner_report, make_corner,
                        rescale_to_norm)
 from .integrator import (RunConfig, Trajectory, default_dt, fit_decay, iter_run,
                          run, step)
-from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel,
-                      l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
-                      pv_quadrature_jk)
+from .kernels import (fit_kernel_bounds, ik_exact, jk_exact, l_kernel, phi_weight,
+                      psi_n, pv_quadrature_ik, pv_quadrature_jk)
 from .linear import ModePairSystem, build_pair_system, spectrum_report
 from .nonlin import (NonlinearityEvaluation, chord_arc_ratio,
-                     eval_nonlinearity, eval_residual, linear_mode_rhs)
+                     eval_nonlinearity, linear_mode_rhs)
 from .norms import (l2_norm, linf_norm, n_norm, s_norm, wiener_snapshot,
                     z1_algebra_check, z1_weight, z2_weight)
 from .tension import (LinearCoefficients, TensionLaw, cubic, hookean,

@@ -12,7 +12,8 @@ Every command writes a manifest.json (config, package version, sha256 of
 each output file) next to its outputs.  Exit codes are part of the
 contract:
 
-    0 success            1 verification failed     2 config error or unwritable output
+    0 success            1 verification failed
+    2 config error, unwritable output, or a value past the float range
     3 geometry error     4 tension domain error    5 step rejected
     6 insufficient decay     7 ill-conditioned propagator
 """
@@ -368,7 +369,13 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # a value past the float range stops the command: it never reaches an output
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.fn(args)
+    except FloatingPointError as err:
+        print(f"error: a value leaves the float range ({err}): the config's magnitudes "
+              "are too large or too small", file=sys.stderr)
+        return EXIT_CONFIG
     except PeskinError as err:
         for cls, code in _ERROR_CODES:
             if isinstance(err, cls):

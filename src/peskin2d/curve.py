@@ -16,16 +16,13 @@ half_kernel is the one (s, alpha) form of the half-angle kernel
 e^{-i alpha/2} / (2 sin(alpha/2)) shared by this module, the boundary
 integral in nonlin and the difference kernels in kernels; near_zero marks
 the offsets where its removable singularity needs the limit form, and
-difference_quotient is the one quotient built on it, for Y~ here and for
-L_n in kernels.
+difference_quotient is the one quotient built on it, for L_n in kernels.
 
 thread_scratch holds the tiles of nonlin and the lattice chunks of kernels.
 """
 
 import threading
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from .errors import ConfigError
@@ -138,17 +135,12 @@ def derivative(curve):
 def fourier_eval(k, coeff, s, order=0):
     """Direct sum of coeff_k (ik)^order e^{iks} at arbitrary points s (O(|s| |k|)).
 
-    The one pointwise evaluator: eval_y and kernels.psi_n are thin calls.
+    The one pointwise evaluator: kernels.psi_n is a thin call.
     """
     s = np.asarray(s, dtype=float)
     coeff = coeff * (1j * k) ** order if order else coeff
     out = np.exp(1j * np.multiply.outer(s, k)) @ np.asarray(coeff, dtype=complex)
     return complex(out) if out.ndim == 0 else out
-
-
-def eval_y(curve, s, order=0):
-    """Pointwise Y or its derivative: modes 0 and 1 excluded."""
-    return fourier_eval(wavenumbers(curve.K), split(curve).y_modes, s, order)
 
 
 def half_kernel(alpha):
@@ -177,19 +169,6 @@ def difference_quotient(f, s, alpha):
     main = half_kernel(safe) * (f(s) - f(s - safe))
     limit = f(s, order=1) * np.exp(-1j * alpha / 2.0)
     out = np.where(small, limit, main)
-    return complex(out) if out.ndim == 0 else out
-
-
-def y_tilde(curve, s, alpha):
-    """Regularized difference quotient of the Y part of the curve,
-
-        e^{-is} e^{-i alpha/2} (Y(s - alpha) - Y(s)) / (2 sin(alpha/2)),
-
-    that is -e^{-is} difference_quotient(Y): continuous across alpha = 0,
-    where it tends to -e^{-is} Y'(s).  Broadcasts over array-valued s and alpha.
-    """
-    s = np.asarray(s, dtype=float)
-    out = -np.exp(-1j * s) * difference_quotient(partial(eval_y, curve), s, alpha)
     return complex(out) if out.ndim == 0 else out
 
 

@@ -76,12 +76,6 @@ def phi_weight(n, k):
     return bump_low(k / 2.0 ** n) - bump_low(k / 2.0 ** (n - 1))
 
 
-def phi_cumulative(n, k):
-    """Low-pass sum of phi_0..phi_n: equals 1 on 1 <= |k| <= 2^n, kills k = 0."""
-    k = np.asarray(k, dtype=float)
-    return bump_low(k / 2.0 ** n) - bump_low(2.0 * k)
-
-
 # ---------------------------------------------------------------------------
 # exact identities and principal-value quadrature
 
@@ -175,20 +169,6 @@ def l_kernel(n, s, alpha):
 def _clamped(a, n):
     """The clamped correction factor sgn(a) min(|a|, 2^{-n})."""
     return np.sign(a) * np.minimum(np.abs(a), 2.0 ** (-n))
-
-
-def l_tilde_kernel(n, s, alpha):
-    """Modified kernel subtracting the first-order part of L_n.
-
-    The correction factor multiplying psi_n'(s) is
-    half_kernel(alpha) * sgn(alpha) * min(|alpha|, 2^{-n}), whose L^1 size
-    obeys min(2^{2n} |alpha|, 1/|alpha|) on both signs of alpha.  For
-    alpha > 0 it equals the literal factor half_kernel(alpha) * min(2^{-n}, alpha).
-    """
-    s, alpha = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
-    out = (l_kernel(n, s, alpha)
-           - half_kernel(alpha) * _clamped(alpha, n) * psi_n(n, s, order=1))
-    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

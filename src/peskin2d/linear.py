@@ -122,8 +122,12 @@ def _eig2(G):
     Returns (eigenvalues (..., 2), eigenvector columns (..., 2, 2)).
     Exact for diagonal input; otherwise uses the stable quadratic formula
     on the trace and determinant, and of the two null-vector expressions
-    (b, lam - a) and (lam - d, c) keeps the larger one.
+    (b, lam - a) and (lam - d, c) keeps the larger one.  Each matrix is
+    first scaled by the power of two that brings its largest entry into
+    [1/2, 1), so no square overflows; the scaling changes no rounding.
     """
+    scale = np.ldexp(1.0, -np.frexp(np.abs(G).max(axis=(-2, -1)))[1])
+    G = G * scale[..., None, None]
     a, b = G[..., 0, 0], G[..., 0, 1]
     c, d = G[..., 1, 0], G[..., 1, 1]
     diag = (b == 0) & (c == 0)
@@ -137,7 +141,7 @@ def _eig2(G):
     nrm[diag] = 1.0
     vecs = v / nrm[..., None, :]
     vecs[diag] = np.eye(2)
-    return lam, vecs
+    return lam / scale[..., None], vecs
 
 
 def _det2(V):
@@ -166,28 +170,35 @@ def build_pair_system(m, coeffs, a1):
         spectral_abscissa=float(np.max(lam[0].real)), eigen_cond=float(_cond2(vecs)[0]))
 
 
-def _phi1_scalar(z):
-    """(e^z - 1)/z with a series branch for |z| < 1e-4.
+def _expm1_over(z):
+    """(e^z - 1)/z off the series discs of the phi functions.
 
-    The main branch uses e^z - 1 = 2 e^{z/2} sinh(z/2), which is free of
-    cancellation for moderate |z|.
+    For Re z >= -40 it takes e^z - 1 = 2 e^{z/2} sinh(z/2), which is free
+    of cancellation for moderate |z|.  Below, e^z - 1 has none to lose, and
+    the direct form keeps sinh from overflowing on a long step.
     """
+    far = z.real < -40.0
+    near = np.where(far, 1.0, z)
+    return np.where(far, np.exp(np.where(far, z, 0.0)) - 1.0,
+                    2.0 * np.exp(near / 2.0) * np.sinh(near / 2.0)) / z
+
+
+def _phi1_scalar(z):
+    """(e^z - 1)/z with a series branch for |z| < 1e-4."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    main = 2.0 * np.exp(zs / 2.0) * np.sinh(zs / 2.0) / zs
-    series = 1.0 + z / 2.0 + z ** 2 / 6.0 + z ** 3 / 24.0 + z ** 4 / 120.0
-    return np.where(small, series, main)
+    zc = np.where(small, z, 0.0)     # each branch sees only the z it is taken at
+    series = 1.0 + zc / 2.0 + zc ** 2 / 6.0 + zc ** 3 / 24.0 + zc ** 4 / 120.0
+    return np.where(small, series, _expm1_over(np.where(small, 1.0, z)))
 
 
 def _phi2_scalar(z):
     """(e^z - 1 - z)/z^2 = (phi1(z) - 1)/z with a series branch for |z| < 1e-3."""
     z = np.asarray(z, dtype=complex)
     small = np.abs(z) < 1e-3
-    zs = np.where(small, 1.0, z)
-    main = (2.0 * np.exp(zs / 2.0) * np.sinh(zs / 2.0) / zs - 1.0) / zs
-    series = 0.5 + z / 6.0 + z ** 2 / 24.0 + z ** 3 / 120.0 + z ** 4 / 720.0
-    return np.where(small, series, main)
+    zs, zc = np.where(small, 1.0, z), np.where(small, z, 0.0)
+    series = 0.5 + zc / 6.0 + zc ** 2 / 24.0 + zc ** 3 / 120.0 + zc ** 4 / 720.0
+    return np.where(small, series, (_expm1_over(zs) - 1.0) / zs)
 
 
 def _matrix_functions(m, lam, V, cond, dt):

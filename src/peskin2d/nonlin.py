@@ -62,15 +62,16 @@ pass's O(B M) arrays stay near STACK_POINTS values.
 """
 
 import contextlib
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .curve import (_grid_to_modes, fourier_samples, half_kernel, split, thread_scratch,
+from .curve import (_grid_to_modes, fourier_samples, half_kernel, thread_scratch,
                     wavenumbers)
-from .errors import ConfigError, GeometryError, StepRejected
+from .errors import ConfigError, GeometryError, StepRejected, TensionDomainError
 from .linear import pair_apply, pair_layout, pair_matrices, pair_modes
 from .tension import linear_coefficients, small_t
 
@@ -78,6 +79,7 @@ CHORD_ARC_MIN = 0.1
 TILE_ROWS = 32           # least outer points per tile
 TILE_POINTS = 2 ** 14    # (s, alpha) points per tile below M = 512: see _tile_rows
 STACK_POINTS = 2 ** 12   # grid values per pass of a stack: see _stack_chunk
+RANGE_MAX = 2.0 ** 960   # bound on |b|^4 and |b|^2 |H|: leaves 2^64 for the M-term row sums
 
 
 @dataclass(frozen=True)
@@ -203,6 +205,24 @@ def _chord_tiles(xs, xr, M):
         yield rows, b, abs2
 
 
+def _check_range(xs, xr, stretch, tension, M):
+    """Raise unless every product of the tile passes stays below RANGE_MAX.
+
+    |b| <= b_max = 1 + 2 c_max max|X| with c_max = 1/(2 sin(pi/2M)), and
+    |H| <= max|T| max|g|^2, so b_max^4 bounds |b|^4 and b_max^2 max|H|
+    bounds |b|^2 |H|.  O(M), in Python floats, where a product past the
+    float range is a quiet inf that fails the test.
+    """
+    b_max = 1.0 + float(max(np.abs(xs).max(), np.abs(xr).max())) / math.sin(math.pi / (2 * M))
+    if not b_max * b_max * b_max * b_max <= RANGE_MAX:
+        raise GeometryError(f"chords up to |b| = {b_max:.3g} overflow the boundary integral")
+    g_max = float(stretch.max())
+    h_max = float(np.abs(tension).max()) * g_max * g_max
+    if not b_max * b_max * h_max <= RANGE_MAX:
+        raise TensionDomainError(f"tension T(|g|) |g|^2 up to {h_max:.3g} at chords up to "
+                                 f"|b| = {b_max:.3g} overflows the boundary integral")
+
+
 def _grid_values(modes, law, M):
     """Velocity on the grid s_j, (B, M), of the stack of modes (B, 2K+1)."""
     _check_quadrature(M, (modes.shape[-1] - 1) // 2)
@@ -215,8 +235,11 @@ def _grid_values(modes, law, M):
 
     xs, xr, xr_prime = _samples(modes, M)
     g = 1.0 - 1j * np.conj(exp_r) * xr_prime
-    # small_t checks the stretch against the law before g^2 can overflow
-    conj_h_rows = _alpha_rows(small_t(law, np.abs(g)) * np.conj(exp_r * g * g))
+    # small_t checks the stretch against the law, _check_range the products, before g^2
+    stretch = np.abs(g)
+    tension = small_t(law, stretch)
+    _check_range(xs, xr, stretch, tension, M)
+    conj_h_rows = _alpha_rows(tension * np.conj(exp_r * g * g))
 
     # the chord-arc minimum covers every tile: after a violation the
     # scan goes on, but the integrand is skipped
@@ -332,13 +355,3 @@ def jacobian_errors(law, a1, k_max, delta, M):
     jac = (n[:len(dirs)] - n[len(dirs):]) / (2.0 * delta)
     c = linear_mode_rhs(dirs, coeffs, a1)
     return np.abs(jac - c).max(axis=1) / np.abs(c).max(axis=1)
-
-
-def eval_residual(curve, law, M):
-    """Residual modes L_k = N_k - c_k, the linear part taken about the curve's own a1.
-
-    For data of size eps the residual is O(eps^2).
-    """
-    sp = split(curve)
-    return (eval_nonlinearity(curve, law, M).n_modes
-            - linear_mode_rhs(sp.y_modes, linear_coefficients(law, sp.a1), sp.a1))

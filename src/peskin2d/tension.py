@@ -81,12 +81,11 @@ class TensionLaw:
 class LinearCoefficients:
     """Coefficients A = T(|1+a1|), B = T'(|1+a1|), b_tilde = |1+a1| B.
 
-    tension_deriv stores A + b_tilde, which equals tau'(|1+a1|).
+    A + b_tilde equals tau'(|1+a1|).
     """
     A: float
     B: float
     b_tilde: float
-    tension_deriv: float
 
 
 def hookean(k0=1.0, **kw):
@@ -170,10 +169,10 @@ def linear_coefficients(law, a1):
 
     small_t raises TensionDomainError if r = |1 + a1| leaves the validity
     interval: the curve degenerated too far from the unit circle.
-    tension_deriv = A + r B equals tau'(r) for any law, so a wrong
-    law.derivative shows only in verify-linearization's Jacobian check.
+    A + r B equals tau'(r) for any law, so a wrong law.derivative shows
+    only in verify-linearization's Jacobian check.
     """
     r = abs(1.0 + complex(a1))
     A = small_t(law, r)
     B = small_t_prime(law, r)
-    return LinearCoefficients(A=A, B=B, b_tilde=r * B, tension_deriv=A + r * B)
+    return LinearCoefficients(A=A, B=B, b_tilde=r * B)

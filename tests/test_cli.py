@@ -619,6 +619,53 @@ class TestExitCodeTable:
         assert code == EXIT_STEP_REJECTED
 
 
+class TestFloatRange:
+    """Schema-valid configs near the float range: a README code, no warning, finite outputs."""
+
+    def test_long_step_exits_ok(self, tmp_path):
+        # z = lambda dt reaches -1625 at K = 64, past where sinh(z/2) overflows
+        config = {"law": {"law": "hookean"}, "K": 64, "dt": 100.0, "t_end": 100.0,
+                  "initial_data": {"kind": "single_mode", "k": 2, "amplitude": 0.01}}
+        code, out = simulate(tmp_path, config)
+        assert code == EXIT_OK
+        rows = list(csv.reader(open(os.path.join(out, "diagnostics.csv"))))[1:]
+        assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_stiff_law_spectrum(self, tmp_path):
+        # (a - d)^2 of the unscaled pair matrices overflows
+        cfg = write_config(tmp_path / "c.json", {"law": {"law": "cubic", "c": 1e300}, "m_max": 5})
+        out = str(tmp_path / "spec")
+        assert main(["linear-spectrum", "--config", cfg, "--out", out]) == EXIT_OK
+        rows = list(csv.reader(open(os.path.join(out, "spectrum.csv"))))[1:]
+        assert [float(row[1]) for row in rows] == pytest.approx([4e300, 6e300, 8e300], rel=1e-14)
+
+    def test_stiff_law_simulate(self, tmp_path, capsys):
+        # z = lambda dt near -1e148; the first step's predictor stretches the
+        # curve past the law's interval
+        config = dict(SIM_CONFIG, law={"law": "cubic", "c": 1e150}, t_end=0.1)
+        code, _ = simulate(tmp_path, config)
+        assert code == EXIT_TENSION_DOMAIN
+        assert "leaves the validity interval" in capsys.readouterr().err
+
+    def test_wide_interval_integral(self, tmp_path, capsys):
+        # stretches near 1e90 lie inside [0.5, 1e300], and |b|^2 |H| passes 1e308
+        config = dict(SIM_CONFIG, law={"law": "hookean", "r_max": 1e300}, t_end=0.1,
+                      initial_data={"kind": "single_mode", "k": 2, "amplitude": 1e90})
+        code, out = simulate(tmp_path, config)
+        assert code == EXIT_GEOMETRY
+        assert "overflow the boundary integral" in capsys.readouterr().err
+        assert snapshot_names(out) == ["snapshot_000000.json"]
+
+    def test_overflow_elsewhere_exits_2(self, tmp_path, capsys):
+        # small_t_prime squares the stretch |1 + a1| = 1e155: the command stops before --out
+        cfg = write_config(tmp_path / "c.json", {"law": {"law": "hookean", "r_max": 1e156},
+                                                 "a1": [1e155, 0.0]})
+        out = tmp_path / "spec"
+        assert main(["linear-spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: a value leaves the float range")
+        assert not out.exists()
+
+
 class TestUnwritableOutput:
     """An output path that cannot be written exits 2 with a message, not a traceback."""
 

@@ -4,7 +4,10 @@ cli.main returns a code from the README exit table and never raises.
 Every drawn value is JSON-like and small, so every case that runs stays
 tiny: K <= 8, t_end <= 2 dt, n_max <= 1 and M <= 64 unless the drawn key
 is that one, and integers lie in [-2, 4], except that a key of kind int
-also draws integers up to 10^30, past every upper bound.  The profile is
+also draws integers up to 10^30, past every upper bound.  test_magnitudes
+instead draws the law's parameters, the data's amplitude, a1 and dt
+log-uniformly from 1e-300 to 1e300 (K <= 8, one or two steps), and also
+requires every number in every file written to be finite.  The profile is
 derandomized with no example database, so the suite stays deterministic.
 """
 
@@ -174,3 +177,57 @@ def test_malformed_trajectory(command, trajectory, data):
             for name in names:
                 os.remove(os.path.join(traj, name))
         check_main([command, "--traj", traj, "--out", os.path.join(tmp, "out")])
+
+
+# magnitudes on a log scale across the float range, as the law, data and step take them
+MAGNITUDES = st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e)
+LAW_PARAMS = {"hookean": ("k0",), "cubic": ("c",), "power": ("p",), "affine": ("c0", "c1")}
+
+
+@st.composite
+def magnitude_configs(draw):
+    """simulate, linear-spectrum and verify-linearization configs, magnitudes log-uniform.
+
+    K <= 8 and one or two steps: a case costs no more than the configs above.
+    """
+    kind = draw(st.sampled_from(sorted(LAW_PARAMS)))
+    law = {"law": kind, **{key: draw(MAGNITUDES) for key in LAW_PARAMS[kind]},
+           "r_max": draw(MAGNITUDES)}
+    a1, amplitude = draw(MAGNITUDES), draw(MAGNITUDES)
+    initial = draw(st.sampled_from([
+        {"kind": "single_mode", "k": 2, "amplitude": amplitude},
+        {"kind": "single_mode", "k": 1, "amplitude": a1, "allow_steady": True},
+        {"kind": "random_decay", "amplitude": amplitude},
+        {"kind": "corner", "positions": [0.0, 1.9], "strengths": [1.0, 0.7],
+         "amplitude": amplitude}]))
+    dt = draw(MAGNITUDES)
+    simulate = {"law": law, "initial_data": initial, "K": draw(st.integers(1, 8)), "dt": dt,
+                "t_end": dt * draw(st.sampled_from([1, 2]))}
+    return (simulate, {"law": law, "a1": [a1, 0.0], "m_max": 5},
+            {"law": law, "a1": [a1, 0.0], "k_max": 2, "M": 64})
+
+
+def check_finite_outputs(out):
+    """Every number in every file under out is finite."""
+    def reject(constant):
+        raise AssertionError(f"non-finite {constant} in {out}")
+
+    for name in os.listdir(out) if os.path.isdir(out) else ():
+        with open(os.path.join(out, name)) as fh:
+            if name.endswith(".csv"):
+                cells = [float(v) for row in list(csv.reader(fh))[1:] for v in row]
+                assert all(map(math.isfinite, cells)), f"non-finite cell in {name}"
+            else:
+                json.load(fh, parse_constant=reject)
+
+
+@PROFILE
+@given(magnitude_configs())
+def test_magnitudes(configs):
+    for command, config in zip(("simulate", "linear-spectrum", "verify-linearization"), configs):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            check_main([command, "--config", path, "--out", os.path.join(tmp, "out")])
+            check_finite_outputs(os.path.join(tmp, "out"))

@@ -1,11 +1,12 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
 
-from peskin2d import (FourierCurve, derivative, eval_y, from_json_dict, split,
-                      to_json_dict, y_tilde)
-from peskin2d.curve import _dft_direct, _grid_to_modes, fourier_samples, wavenumbers
+from peskin2d import FourierCurve, derivative, from_json_dict, split, to_json_dict
+from peskin2d.curve import (_dft_direct, _grid_to_modes, difference_quotient, fourier_eval,
+                            fourier_samples, wavenumbers)
 
 from conftest import random_y_modes
 
@@ -131,11 +132,17 @@ class TestDerivative:
         assert np.abs(fd - spectral).max() < 1e-8
 
 
+# Y(s) or Y'(s) of the curve: the Fourier sum whose difference quotient L_n runs
+y_of = lambda c: partial(fourier_eval, wavenumbers(c.K), split(c).y_modes)
+
+
 class TestYTilde:
+    """The difference quotient half_kernel(a) (Y(s) - Y(s - a)) of the curve's Y part."""
+
     def test_zero_perturbation(self):
         c = make_curve(4, {})
         for s, a in [(0.3, 1.0), (2.0, -0.5), (1.0, 1e-12)]:
-            assert y_tilde(c, s, a) == 0
+            assert difference_quotient(y_of(c), s, a) == 0
 
     def test_single_mode_closed_form(self, rng):
         a2 = 0.37 - 0.21j
@@ -145,25 +152,25 @@ class TestYTilde:
             a = rng.uniform(-np.pi, np.pi)
             if abs(a) < 1e-6:
                 continue
-            expect = a2 * np.exp(1j * s) * np.exp(-1j * a / 2) \
-                * (np.exp(-2j * a) - 1) / (2 * np.sin(a / 2))
-            assert y_tilde(c, s, a) == pytest.approx(expect, rel=1e-12)
+            expect = a2 * np.exp(2j * s) * np.exp(-1j * a / 2) \
+                * (1 - np.exp(-2j * a)) / (2 * np.sin(a / 2))
+            assert difference_quotient(y_of(c), s, a) == pytest.approx(expect, rel=1e-12)
 
     def test_limit_continuity(self, rng):
         c = FourierCurve(random_y_modes(rng, 8, amp=0.3))
         for s in rng.uniform(0, 2 * np.pi, 5):
-            limit = -np.exp(-1j * s) * eval_y(c, s, order=1)
-            assert abs(y_tilde(c, s, 1e-9) - limit) < 1e-6
+            limit = y_of(c)(s, order=1)
+            assert abs(difference_quotient(y_of(c), s, 1e-9) - limit) < 1e-6
             # values approach the limit from both sides
-            assert abs(y_tilde(c, s, 1e-7) - limit) < 1e-5
+            assert abs(difference_quotient(y_of(c), s, 1e-7) - limit) < 1e-5
 
     def test_bounded_by_yprime(self, rng):
         for _ in range(20):
             c = FourierCurve(random_y_modes(rng, 16, amp=0.05))
-            sup = np.abs(eval_y(c, np.linspace(0, 2 * np.pi, 512), order=1)).max()
+            sup = np.abs(y_of(c)(np.linspace(0, 2 * np.pi, 512), order=1)).max()
             s = rng.uniform(0, 2 * np.pi, 30)
             a = rng.uniform(-np.pi, np.pi, 30)
-            vals = np.abs(y_tilde(c, s, a))
+            vals = np.abs(difference_quotient(y_of(c), s, a))
             assert vals.max() <= sup * (1 + 1e-9)
 
 

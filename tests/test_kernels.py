@@ -3,16 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel,
-                      l_tilde_kernel, phi_weight, psi_n, pv_quadrature_ik,
-                      pv_quadrature_jk)
+from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel, phi_weight, psi_n,
+                      pv_quadrature_ik, pv_quadrature_jk)
 from peskin2d import kernels
-from peskin2d.curve import fourier_samples, half_kernel
+from peskin2d.curve import fourier_samples
 from conftest import in_threads
-from peskin2d.kernels import (_grid_size, _l1_rows, _psi_support, dyadic_alphas,
-                              fit_kernel_bounds, l_kernel_l1,
-                              l_tilde_dalpha_l1, l_tilde_l1, phi_cumulative,
-                              psi_l1_norm, smooth_step)
+from peskin2d.kernels import (_clamped, _grid_size, _l1_rows, _psi_support, bump_low,
+                              dyadic_alphas, fit_kernel_bounds, l_kernel_l1,
+                              l_tilde_dalpha_l1, l_tilde_l1, psi_l1_norm, smooth_step)
 
 
 class TestExactValues:
@@ -94,7 +92,8 @@ class TestDyadicBumps:
         k = np.arange(-64, 65)
         for n in range(5):
             partial = sum(phi_weight(b, k) for b in range(n + 1))
-            assert np.abs(phi_cumulative(n, k) - partial).max() < 1e-15
+            cumulative = bump_low(k / 2.0 ** n) - bump_low(2.0 * k)
+            assert np.abs(cumulative - partial).max() < 1e-15
 
 
 class TestPsi:
@@ -165,7 +164,7 @@ class TestLKernel:
             gsa = np.exp(1j * np.outer(sg - a, k)) @ g
             want = np.exp(-1j * a / 2) * (gs - gsa) / (2 * np.sin(a / 2))
             # convolution via Fourier multipliers of the cumulative kernel
-            mult = phi_cumulative(b + 2 + 2, k).astype(complex)
+            mult = sum(phi_weight(j, k) for j in range(b + 2 + 2 + 1)).astype(complex)
             mult[(k == 0) | (k == 1)] = 0.0
             conv = np.exp(1j * np.outer(sg, k)) @ (g * mult)
             conva = np.exp(1j * np.outer(sg - a, k)) @ (g * mult)
@@ -174,21 +173,18 @@ class TestLKernel:
 
 
 class TestLTilde:
+    # the clamped factor of L~_n; _l1_rows applies it, and fit_kernel_bounds'
+    # l_tilde_bound_literal rests on these two facts
     def test_large_alpha_form(self):
         # for 2^n |alpha| >= 1 the clamp saturates at 2^{-n}
-        n, s = 2, 0.8
+        n = 2
         for a in (0.5, 1.0, 2.5):
-            expect = l_kernel(n, s, a) - np.exp(-1j * a / 2) / (2 * np.sin(a / 2)) \
-                * 2.0 ** (-n) * psi_n(n, s, order=1)
-            assert abs(l_tilde_kernel(n, s, a) - expect) < 1e-12
+            assert abs(_clamped(a, n) - 2.0 ** (-n)) < 1e-12
 
     def test_literal_form_matches_for_positive_alpha(self):
-        # fit_kernel_bounds' l_tilde_bound_literal rests on this identity
-        n, s = 3, 2.2
+        n = 3
         for a in (0.01, 0.3, 1.0):
-            literal = l_kernel(n, s, a) - half_kernel(a) * min(2.0 ** -n, a) \
-                * psi_n(n, s, order=1)
-            assert l_tilde_kernel(n, s, a) == pytest.approx(literal, rel=1e-13)
+            assert _clamped(a, n) == pytest.approx(min(2.0 ** -n, a), rel=1e-13)
 
     def test_small_alpha_bound(self):
         # |L~_n|_L1 <= C 2^{2n} |alpha| in the regime 2^n |alpha| <= 1/4,

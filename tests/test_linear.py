@@ -157,6 +157,20 @@ class TestPhiFunctions:
             ref = (phi1_ref(z) - 1.0) / z
             assert abs(complex(_phi2_scalar(np.array(z))) - ref) < 1e-12
 
+    def test_long_step_stays_finite(self):
+        # past Re z = -40 both take (e^z - 1)/z: sinh(z/2) overflows near
+        # Re z = -1420, and the series terms overflow past |z| of about 1e77
+        from peskin2d.linear import _phi1_scalar, _phi2_scalar
+
+        z = np.array([-41.0, -1625.0, -1625.0 + 3.0j, -1e148])
+        phi1 = (np.exp(z) - 1.0) / z
+        assert np.array_equal(_phi1_scalar(z), phi1)
+        assert np.array_equal(_phi2_scalar(z), (phi1 - 1.0) / z)
+        # the two forms meet at the cut
+        for f in (_phi1_scalar, _phi2_scalar):
+            below, above = f(np.array([-40.0 - 1e-12, -40.0]))
+            assert abs(below / above - 1) < 1e-13
+
     def test_phi2_matches_definition(self):
         co = linear_coefficients(cubic(), 0.1)
         sys = build_pair_system(6, co, 0.1)
@@ -214,6 +228,24 @@ class TestSpectrumReport:
                  for t in ts]
         slope = np.polyfit(ts, np.log(norms), 1)[0]
         assert -slope == pytest.approx(-sys.spectral_abscissa, rel=1e-3)
+
+    def test_stiff_law_is_finite(self):
+        # c = 1e300: the squares of the unscaled discriminant overflow
+        rows = spectrum_report(cubic(c=1e300), 0.0, 5)
+        for r in rows:
+            assert r["lambda1"] == pytest.approx(2e300 * (r["m"] - 1), rel=1e-14)
+            assert r["lambda2"] == pytest.approx(6e300 * (r["m"] - 1), rel=1e-14)
+
+    def test_eig2_scaling_changes_no_rounding(self):
+        # a power of two scales the eigenvalues exactly and leaves the eigenvectors alone
+        from peskin2d.linear import _eig2
+        G = pair_matrices(pair_layout(16)[0], linear_coefficients(cubic(), 0.1 + 0.05j),
+                          0.1 + 0.05j, 16)
+        lam, vecs = _eig2(G)
+        for p in (-600, -1, 1, 600):
+            lam_p, vecs_p = _eig2(G * 2.0 ** p)
+            assert np.array_equal(lam_p, lam * 2.0 ** p)
+            assert np.array_equal(vecs_p, vecs)
 
     def test_mode2_rate(self):
         # mode 2 decays alone at (A + b_tilde)/4: -G[0, 0] of pair m = 2

@@ -9,12 +9,12 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from peskin2d import (FourierCurve, GeometryError, StepRejected,
-                      TensionDomainError, TensionLaw, cubic, eval_nonlinearity,
-                      eval_residual, hookean,
+                      TensionDomainError, TensionLaw, cubic, eval_nonlinearity, hookean,
                       linear_coefficients, linear_mode_rhs, nonlin, split)
 import peskin2d.curve
 from peskin2d.curve import wavenumbers
 from peskin2d.errors import ConfigError
+from peskin2d.integrator import _Propagators
 from peskin2d.kernels import _l1_rows, dyadic_alphas, fit_kernel_bounds
 from peskin2d.nonlin import chord_arc_ratio
 
@@ -126,7 +126,7 @@ class TestLinearization:
 
     @staticmethod
     def linear_part(curve, law):
-        # G u about the curve's own a1, as eval_residual subtracts it
+        # G u about the curve's own a1
         sp = split(curve)
         return linear_mode_rhs(sp.y_modes, linear_coefficients(law, sp.a1), sp.a1)
 
@@ -183,7 +183,7 @@ class TestLinearization:
                          lambda r: 1.0 + 2.0 * np.asarray(r, float) ** 2, "wrong-derivative")
         K, M, delta, a1 = 8, 64, 1e-6, 0.1
         coeffs = linear_coefficients(law, a1)
-        assert coeffs.tension_deriv == pytest.approx(1.0 + 2.0 * 1.1 ** 2, rel=1e-12)
+        assert coeffs.A + coeffs.b_tilde == pytest.approx(1.0 + 2.0 * 1.1 ** 2, rel=1e-12)
         base = np.zeros(2 * K + 1, dtype=complex)
         base[K + 1] = a1
         worst = 0.0
@@ -197,15 +197,21 @@ class TestLinearization:
         assert worst > 1e-6
 
 
+def residual(curve, law, M):
+    """The residual N - G u that the integrator subtracts, G about a1 = 0."""
+    return _Propagators(law, 0.0, 0.01, curve.K).residual(curve, law, M)
+
+
 class TestResidual:
+    # every curve here has a1 = 0
     def test_circle_zero(self, cubic_law):
-        L = eval_residual(curve_with(8, {}), cubic_law, 64)
+        L = residual(curve_with(8, {}), cubic_law, 64)
         assert np.abs(L).max() < 1e-13
 
     def test_quadratic_scaling_single_mode(self, cubic_law):
         delta = 1e-3
-        L1 = eval_residual(curve_with(16, {2: delta}), cubic_law, 128)
-        L2 = eval_residual(curve_with(16, {2: delta / 2}), cubic_law, 128)
+        L1 = residual(curve_with(16, {2: delta}), cubic_law, 128)
+        L2 = residual(curve_with(16, {2: delta / 2}), cubic_law, 128)
         k_dom = np.argmax(np.abs(L1))
         ratio = abs(L1[k_dom]) / abs(L2[k_dom])
         assert 3.5 <= ratio <= 4.5
@@ -214,7 +220,7 @@ class TestResidual:
         K, M = 16, 128
         for eps in (1e-2, 5e-3):
             modes = random_y_modes(rng, K, amp=eps)
-            L = eval_residual(FourierCurve(modes), cubic_law, M)
+            L = residual(FourierCurve(modes), cubic_law, M)
             size = np.abs(modes).sum()
             assert abs(L[K + 0]) < 10 * size ** 2
             assert abs(L[K + 1]) < 10 * size ** 2
@@ -644,6 +650,15 @@ class TestErrors:
         # stretch of a large second mode leaves the default [0.5, 2] interval
         with pytest.raises(TensionDomainError):
             eval_nonlinearity(curve_with(8, {2: 0.55}), cubic_law, 64)
+
+    def test_products_past_the_float_range(self):
+        # b_max^4 bounds |b|^4: chords near 2e91 at M = 32
+        law = hookean(r_max=1e300)
+        with pytest.raises(GeometryError, match="overflow the boundary integral"):
+            eval_nonlinearity(curve_with(8, {2: 1e90}), law, 32)
+        # b_max^2 max|T| max|g|^2 bounds |b|^2 |H|: T(1) = 1 + c
+        with pytest.raises(TensionDomainError, match="overflows the boundary integral"):
+            eval_nonlinearity(curve_with(8, {2: 1e-3}), cubic(c=1e300), 32)
 
     def test_grid_too_small(self, cubic_law):
         from peskin2d.errors import ConfigError
