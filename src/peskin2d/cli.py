@@ -130,18 +130,6 @@ _LINEARIZATION_SCHEMA = {"law": ("object", REQUIRED), "a1": ("pair", 0j),
 
 def _cmd_simulate(args):
     config = _load_json(args.config)
-    if args.init is not None:
-        try:
-            config["initial_data"] = json.loads(args.init)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"--init is not valid JSON: {e}") from e
-    if args.snapshot_every is not None:
-        config["snapshot_every"] = args.snapshot_every
-    if args.watch_modes is not None:
-        try:
-            config["watch_modes"] = [int(x) for x in args.watch_modes.split(",")]
-        except ValueError as e:
-            raise ConfigError(f"--watch-modes is not a comma-separated integer list: {e}") from e
     cfg = RunConfig.from_dict(config)
     out = _ensure_out(args.out)
     for name in os.listdir(out):     # an earlier run's files: a directory holds one run
@@ -348,12 +336,6 @@ def _build_parser():
             sp.add_argument("--config", required=(name != "verify-kernels"),
                             help="JSON config path")
         sp.add_argument("--out", required=True, help="output directory")
-        if name == "simulate":
-            sp.add_argument("--snapshot-every", type=float, default=None)
-            sp.add_argument("--watch-modes", type=str, default=None,
-                            help="comma-separated mode list")
-            sp.add_argument("--init", type=str, default=None,
-                            help="inline initial-data JSON overriding the config")
         sp.set_defaults(fn=fn)
 
     add("simulate", _cmd_simulate)

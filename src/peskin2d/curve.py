@@ -127,11 +127,6 @@ def split(curve):
     return CurveSplit(a0=a0, a1=a1, y_modes=y)
 
 
-def derivative(curve):
-    """Coefficients of X': i k a_k.  The full curve derivative adds i e^{is}."""
-    return 1j * wavenumbers(curve.K) * curve.modes
-
-
 def fourier_eval(k, coeff, s, order=0):
     """Direct sum of coeff_k (ik)^order e^{iks} at arbitrary points s (O(|s| |k|)).
 

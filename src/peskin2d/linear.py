@@ -29,10 +29,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IllConditioned
+from .errors import ConfigError, IllConditioned
 from .tension import linear_coefficients
 
 _COND_LIMIT = 1e8
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -125,12 +126,17 @@ def _eig2(G):
     (b, lam - a) and (lam - d, c) keeps the larger one.  Each matrix is
     first scaled by the power of two that brings its largest entry into
     [1/2, 1), so no square overflows; the scaling changes no rounding.
+
+    Off-diagonal entries and a - d all within 8 eps of max(|a|, |d|) count
+    as diagonal: a pair matrix has equal eigenvalues only where B = 0, and
+    a roundoff-sized B would give them parallel eigenvectors.
     """
     scale = np.ldexp(1.0, -np.frexp(np.abs(G).max(axis=(-2, -1)))[1])
     G = G * scale[..., None, None]
     a, b = G[..., 0, 0], G[..., 0, 1]
     c, d = G[..., 1, 0], G[..., 1, 1]
-    diag = (b == 0) & (c == 0)
+    tol = 8.0 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(d))
+    diag = ((b == 0) & (c == 0)) | (np.abs(np.stack((b, c, a - d))).max(axis=0) <= tol)
     disc = np.sqrt((a - d) ** 2 + 4.0 * b * c + 0j)
     lam = np.stack(((a + d - disc) / 2.0, (a + d + disc) / 2.0), axis=-1)
     lam[diag] = np.stack((a, d), axis=-1)[diag]
@@ -201,18 +207,28 @@ def _phi2_scalar(z):
     return np.where(small, series, (_expm1_over(zs) - 1.0) / zs)
 
 
-def _matrix_functions(m, lam, V, cond, dt):
-    """(e^{G dt}, phi1(G dt), phi2(G dt)) of a stack G = V diag(lam) V^-1.
+def propagator_tables(m, G, dt):
+    """(e^{G dt}, phi1(G dt), phi2(G dt)) for a (n, 2, 2) stack of pair matrices.
 
-    Each is V f(lam dt) V^-1 with the closed-form 2x2 inverse, summed as
-    elementwise products: no BLAS call, no loop over the stack.  Diagonal
-    G (V = I) gives exactly the scalar functions on the diagonal.
+    Each is V f(lam dt) V^-1 for G = V diag(lam) V^-1, with the closed-form
+    2x2 inverse, summed as elementwise products: no BLAS call, no loop
+    over the stack.  Diagonal G (V = I) gives exactly the scalar functions
+    on the diagonal.  m labels the stack; IllConditioned names the first m
+    whose eigenvector condition number exceeds the limit.
     """
+    lam, V = _eig2(np.asarray(G, dtype=complex))
+    cond = _cond2(V)
     bad = np.flatnonzero(cond > _COND_LIMIT)
     if bad.size:
         i = bad[0]
         raise IllConditioned(
             f"pair m={int(m[i])}: eigenvector condition {cond[i]:.3g} exceeds {_COND_LIMIT:.0e}")
+    # each part of z = lam dt stays below the float maximum; only dt > 1 can pass it
+    parts = np.maximum(np.abs(lam.real), np.abs(lam.imag)).max(axis=-1)
+    bad = np.flatnonzero(parts > _FLOAT_MAX / max(dt, 1.0))
+    if bad.size:
+        raise ConfigError(f"a value leaves the float range: z = lambda dt of pair "
+                          f"m={int(m[bad[0]])} overflows ({parts[bad[0]]:.3g} times dt {dt:.3g})")
     Vinv = np.stack((np.stack((V[..., 1, 1], -V[..., 0, 1]), axis=-1),
                      np.stack((-V[..., 1, 0], V[..., 0, 0]), axis=-1)), axis=-2)
     Vinv = Vinv / _det2(V)[..., None, None]
@@ -221,21 +237,9 @@ def _matrix_functions(m, lam, V, cond, dt):
                  for f in (np.exp, _phi1_scalar, _phi2_scalar))
 
 
-def propagator_tables(m, G, dt):
-    """(e^{G dt}, phi1(G dt), phi2(G dt)) for a (n, 2, 2) stack of pair matrices.
-
-    m labels the stack; IllConditioned names the first m whose
-    eigenvector condition number exceeds the limit.
-    """
-    lam, V = _eig2(np.asarray(G, dtype=complex))
-    return _matrix_functions(m, lam, V, _cond2(V), dt)
-
-
 def propagator_matrices(sys, dt):
-    """(e^{G dt}, phi1(G dt), phi2(G dt)) in one diagonalization pass."""
-    tables = _matrix_functions([sys.m], sys.eigenvalues[None], sys.eigenvectors[None],
-                               np.array([sys.eigen_cond]), dt)
-    return tuple(t[0] for t in tables)
+    """(e^{G dt}, phi1(G dt), phi2(G dt)) of one pair system."""
+    return tuple(t[0] for t in propagator_tables([sys.m], sys.G[None], dt))
 
 
 def spectrum_report(law, a1, m_max):

@@ -348,10 +348,15 @@ def jacobian_errors(law, a1, k_max, delta, M):
     ks = np.array([k for k in range(-k_max, k_max + 1) if k not in (0, 1)])
     dirs = np.zeros((2 * ks.size, 2 * K + 1), dtype=complex)
     dirs[np.arange(2 * ks.size), np.repeat(K + ks, 2)] = np.tile([1.0, 1j], ks.size)
+    c = linear_mode_rhs(dirs, coeffs, a1)
+    c_max = np.abs(c).max(axis=1)
+    zero = np.flatnonzero(c_max == 0)
+    if zero.size:
+        raise ConfigError(f"direction k={ks[zero[0] // 2]} has a zero linear part, so no "
+                          f"relative Jacobian error: A + b_tilde = {coeffs.A + coeffs.b_tilde:.3g}")
     base = np.zeros(2 * K + 1, dtype=complex)
     base[K + 1] = a1
     n = eval_nonlinearity_stack(np.concatenate((base + delta * dirs, base - delta * dirs)),
                                 law, M)
     jac = (n[:len(dirs)] - n[len(dirs):]) / (2.0 * delta)
-    c = linear_mode_rhs(dirs, coeffs, a1)
-    return np.abs(jac - c).max(axis=1) / np.abs(c).max(axis=1)
+    return np.abs(jac - c).max(axis=1) / c_max

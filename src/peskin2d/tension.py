@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConfigError, TensionDomainError, read_config
 
 DEFAULT_INTERVAL = (0.5, 2.0)
+_SQUARE_MAX = float(np.sqrt(np.finfo(float).max))   # the largest r whose r ** 2 is finite
 
 
 class TensionLaw:
@@ -160,6 +161,9 @@ def small_t_prime(law, r):
     """Derivative T'(r) = tau'(r)/r - tau(r)/r^2."""
     law.check_domain(r)
     r = np.asarray(r, dtype=float)
+    if np.any(r > _SQUARE_MAX):
+        raise ConfigError(f"a value leaves the float range: T'(r) squares the stretch "
+                          f"r = {r.max():.3g}, above {_SQUARE_MAX:.3g}")
     out = law.derivative(r) / r - law.evaluate(r) / r ** 2
     return out if out.ndim else float(out)
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from peskin2d import (FourierCurve, cubic, hookean, linear_coefficients,
-                      make_corner, make_random_decay, make_single_mode,
-                      rescale_to_norm)
+                      make_corner, make_single_mode, rescale_to_norm)
 from peskin2d.curve import wavenumbers
+from peskin2d.initdata import make_random_decay
 from peskin2d.integrator import RunConfig, _Propagators, run
 from peskin2d.kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact,
                               jk_exact, pv_quadrature_ik, pv_quadrature_jk)

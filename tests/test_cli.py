@@ -4,11 +4,13 @@ import importlib.metadata
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 import sysconfig
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +90,21 @@ def simulate(tmp_path, config=SIM_CONFIG, name="run"):
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("amplitude", [[0.01, 0.02], [0.0, 0.05]])
+    def test_hookean_rotated_circle(self, tmp_path, amplitude):
+        # tau linear through the origin: T' = 0, but off r = 1 it rounds to
+        # about 1e-16, and each pair's two equal eigenvalues once gave
+        # parallel eigenvectors (exit 7, condition 4e18 at m = 3)
+        config = {"law": {"law": "hookean"}, "K": 8, "M": 32, "dt": 0.01, "t_end": 0.1,
+                  "initial_data": {"kind": "single_mode", "k": 1, "amplitude": amplitude,
+                                   "allow_steady": True}}
+        code, out = simulate(tmp_path, config)
+        assert code == EXIT_OK
+        rows = list(csv.DictReader(open(os.path.join(out, "diagnostics.csv"))))
+        a1 = complex(float(rows[-1]["a1_re"]), float(rows[-1]["a1_im"]))
+        assert abs(a1 - complex(*amplitude)) < 1e-12
+        assert float(rows[-1]["l2_Y"]) < 1e-12
+
     def test_zero_data_exit_ok(self, tmp_path):
         config = dict(SIM_CONFIG)
         config["initial_data"] = {"kind": "single_mode", "k": 2,
@@ -573,17 +590,17 @@ class TestExitCodeTable:
 
     @pytest.mark.parametrize("command", ["simulate", "linear-spectrum"])
     def test_ill_conditioned_exit_code(self, tmp_path, monkeypatch, capsys, command):
-        from peskin2d import cli, linear
+        from peskin2d import cli, integrator
         from peskin2d.cli import EXIT_ILL_CONDITIONED
         from peskin2d.errors import IllConditioned
 
         def ill_conditioned(*args, **kwargs):
             raise IllConditioned("pair m=3: eigenvector condition 1e+13 exceeds 1e+12")
 
-        # simulate builds its propagators through linear._matrix_functions, where
+        # simulate builds its propagators through linear.propagator_tables, where
         # IllConditioned is raised; linear-spectrum never builds a propagator, so
         # its one computation stands in for the raise site
-        monkeypatch.setattr(linear, "_matrix_functions", ill_conditioned)
+        monkeypatch.setattr(integrator, "propagator_tables", ill_conditioned)
         monkeypatch.setattr(cli, "spectrum_report", ill_conditioned)
         config = SIM_CONFIG if command == "simulate" else {"law": {"law": "cubic"}}
         cfg = write_config(tmp_path / "c.json", config)
@@ -665,6 +682,27 @@ class TestFloatRange:
         assert capsys.readouterr().err.startswith("error: a value leaves the float range")
         assert not out.exists()
 
+    def test_squared_stretch_is_named(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", {"law": {"law": "hookean", "r_max": 1e156},
+                                                 "a1": [1e155, 0.0]})
+        out = tmp_path / "spec"
+        assert main(["linear-spectrum", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: a value leaves the float range: T'(r) squares the stretch "
+            "r = 1e+155, above 1.34e+154\n")
+        assert not out.exists()
+
+    def test_step_times_rate_is_named(self, tmp_path, capsys):
+        # dt times the fastest rate passes the float maximum in z = lambda dt
+        config = {"law": {"law": "hookean", "k0": 3e172}, "K": 8, "dt": 3e172,
+                  "t_end": 3e172,
+                  "initial_data": {"kind": "single_mode", "k": 2, "amplitude": 0.01}}
+        code, out = simulate(tmp_path, config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: a value leaves the float range: z = lambda dt of pair m=")
+        assert "Traceback" not in err and snapshot_names(out) == []
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written exits 2 with a message, not a traceback."""
@@ -714,33 +752,15 @@ class TestIntegerUpperBounds:
 
 
 class TestInterface:
-    def test_flag_passthrough(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
-        out = str(tmp_path / "flags")
-        code = main(["simulate", "--config", cfg, "--out", out,
-                     "--snapshot-every", "0.5", "--watch-modes", "2,5"])
-        assert code == EXIT_OK
-        header = open(os.path.join(out, "diagnostics.csv")).readline().strip()
-        assert header.startswith("t,abs_a2,abs_a5,")
-
-    def test_inline_init(self, tmp_path):
-        cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
-        out = str(tmp_path / "inline")
-        code = main(["simulate", "--config", cfg, "--out", out, "--init",
-                     json.dumps({"kind": "single_mode", "k": 3,
-                                 "amplitude": [1e-3, 0.0]})])
-        assert code == EXIT_OK
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
-        assert manifest["config"]["initial_data"]["k"] == 3
-
     def test_consecutive_calls_parse_independently(self, tmp_path):
-        # the parser is built once per process: a flag of one call must not
+        # the parser is built once per process: nothing of one call may
         # leak into the next, whatever subcommand ran in between
         cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
+        other = write_config(tmp_path / "o.json",
+                             dict(SIM_CONFIG, snapshot_every=0.5, watch_modes=[5]))
         spec = write_config(tmp_path / "s.json", {"law": {"law": "cubic"}, "m_max": 4})
-        first, second = str(tmp_path / "flag"), str(tmp_path / "config")
-        assert main(["simulate", "--config", cfg, "--out", first,
-                     "--snapshot-every", "0.5", "--watch-modes", "5"]) == EXIT_OK
+        first, second = str(tmp_path / "other"), str(tmp_path / "config")
+        assert main(["simulate", "--config", other, "--out", first]) == EXIT_OK
         assert main(["linear-spectrum", "--config", spec,
                      "--out", str(tmp_path / "spec")]) == EXIT_OK
         assert main(["simulate", "--config", cfg, "--out", second]) == EXIT_OK
@@ -751,6 +771,40 @@ class TestInterface:
         assert header.startswith("t,abs_a2,abs_a3,abs_a-1,")
         manifest = json.load(open(os.path.join(second, "manifest.json")))
         assert manifest["config"]["snapshot_every"] == 0.25
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--init", '{"kind": "single_mode", "k": 3, "amplitude": 0.001}'),
+        ("--snapshot-every", "0.5"),
+        ("--watch-modes", "2,5"),
+    ])
+    def test_retired_simulate_flag_exits_2(self, tmp_path, capsys, flag, value):
+        # a run is its config file: simulate takes --config and --out only
+        cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), flag, value])
+        err = capsys.readouterr().err
+        assert e.value.code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_simulate_help_lists_config_and_out(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["simulate", "--help"])
+        assert e.value.code == 0
+        assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == {
+            "--help", "--config", "--out"}
+
+    def test_readme_lists_every_export(self):
+        # the bullet list of the README's Python API section names exactly
+        # the package's top-level names other than its modules
+        import peskin2d
+        exported = {name for name, value in vars(peskin2d).items()
+                    if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+        text = (REPO / "README.md").read_text()
+        section = text.split("\n## Python API\n")[1].split("\n## ")[0]
+        listed = re.findall(r"`(\w+)`", section.split("\n- ", 1)[1].split("\n\n")[0])
+        assert sorted(listed) == sorted(exported)
+        assert len(listed) == 28
 
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as e:

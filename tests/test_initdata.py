@@ -7,15 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peskin2d import (ConfigError, FourierCurve, GeometryError,
-                      InitialDataSpec, corner_report, make_corner,
-                      make_polygonal, make_random_decay,
-                      make_single_mode, rescale_to_norm, s_norm, split,
-                      wiener_snapshot)
-from peskin2d import initdata
+from peskin2d import (ConfigError, FourierCurve, GeometryError, corner_report,
+                      initdata, make_corner, make_single_mode, rescale_to_norm, split)
 from peskin2d.curve import _grid_to_modes, fourier_samples, wavenumbers
-from peskin2d.initdata import tent_hat
-from peskin2d.norms import block_l2_profile
+from peskin2d.initdata import InitialDataSpec, make_polygonal, make_random_decay, tent_hat
+from peskin2d.norms import block_l2_profile, s_norm, wiener_snapshot
 
 
 class TestSingleMode:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from peskin2d import (ConfigError, FourierCurve, IllConditioned,
-                      InsufficientDecay, StepRejected, cubic, hookean,
-                      make_random_decay, make_single_mode, power, rescale_to_norm)
+                      InsufficientDecay, StepRejected, cubic, make_single_mode,
+                      power, rescale_to_norm)
+from peskin2d.initdata import make_random_decay
 from peskin2d.integrator import (MAX_SNAPSHOTS, MAX_STEPS, RunConfig, Trajectory,
                                  _Propagators, default_dt, fit_decay, iter_run, run, step)
 from peskin2d.linear import (_phi1_scalar, _phi2_scalar, build_pair_system,

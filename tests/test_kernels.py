@@ -3,14 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peskin2d import (ConfigError, ik_exact, jk_exact, l_kernel, phi_weight, psi_n,
-                      pv_quadrature_ik, pv_quadrature_jk)
-from peskin2d import kernels
+from peskin2d import (ConfigError, ik_exact, jk_exact, kernels, pv_quadrature_ik,
+                      pv_quadrature_jk)
 from peskin2d.curve import fourier_samples
 from conftest import in_threads
 from peskin2d.kernels import (_clamped, _grid_size, _l1_rows, _psi_support, bump_low,
-                              dyadic_alphas, fit_kernel_bounds, l_kernel_l1,
-                              l_tilde_dalpha_l1, l_tilde_l1, psi_l1_norm, smooth_step)
+                              dyadic_alphas, fit_kernel_bounds, l_kernel, l_kernel_l1,
+                              l_tilde_dalpha_l1, l_tilde_l1, phi_weight, psi_l1_norm, psi_n,
+                              smooth_step)
 
 
 class TestExactValues:

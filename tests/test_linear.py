@@ -6,6 +6,7 @@ from peskin2d import (IllConditioned, build_pair_system, cubic, hookean,
                       linear_coefficients, spectrum_report)
 from peskin2d.linear import (ModePairSystem, pair_layout, pair_matrices,
                              propagator_matrices)
+from peskin2d.tension import affine, power
 
 
 def closed_form_eigs(coeffs, m):
@@ -119,13 +120,29 @@ class TestPropagate:
         assert np.abs(direct - via).max() < 1e-12
 
     def test_ill_conditioned_guard(self):
-        eps = 1e-12
-        V = np.array([[1.0, 1.0], [0.0, eps]], dtype=complex)  # nearly parallel
-        sys = ModePairSystem(m=3, G=np.eye(2), eigenvalues=np.array([-1.0, -2.0]),
+        # a near-defective G: its two eigenvectors are nearly parallel
+        G = np.array([[-1.0, 1.0], [0.0, -1.0 - 1e-10]], dtype=complex)
+        V = np.array([[1.0, 1.0], [0.0, -1e-10]], dtype=complex)
+        sys = ModePairSystem(m=3, G=G, eigenvalues=np.array([-1.0, -1.0 - 1e-10]),
                              eigenvectors=V, spectral_abscissa=-1.0,
                              eigen_cond=float(np.linalg.cond(V)))
         with pytest.raises(IllConditioned):
             propagator_matrices(sys, 0.1)
+
+    @pytest.mark.parametrize("law", [hookean(), hookean(k0=3.0), power(1.0), affine(0.0, 2.0)],
+                             ids=["hookean", "hookean-k0-3", "power-1", "affine-0-2"])
+    @pytest.mark.parametrize("a1", [0.01 + 0.02j, 0.05j])
+    def test_linear_law_about_rotated_circle(self, law, a1):
+        # tau linear through the origin: T' = 0, but tau'/r - tau/r^2 rounds
+        # to about 1e-16 off r = 1, and each pair's two equal eigenvalues
+        # once gave parallel eigenvectors (condition 4e18 at m = 3)
+        co = linear_coefficients(law, a1)
+        for m in range(3, 67):
+            sys = build_pair_system(m, co, a1)
+            assert sys.eigen_cond == 1.0
+            E = propagator_matrices(sys, 0.01)[0]
+            want = np.exp(-co.A * (m - 1) / 4.0 * 0.01)
+            assert np.allclose(E, want * np.eye(2), rtol=1e-14, atol=0), m
 
 
 class TestPhiFunctions:

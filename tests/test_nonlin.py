@@ -9,14 +9,15 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
 from peskin2d import (FourierCurve, GeometryError, StepRejected,
-                      TensionDomainError, TensionLaw, cubic, eval_nonlinearity, hookean,
-                      linear_coefficients, linear_mode_rhs, nonlin, split)
+                      TensionDomainError, TensionLaw, cubic, hookean,
+                      linear_coefficients, nonlin, split)
 import peskin2d.curve
 from peskin2d.curve import wavenumbers
 from peskin2d.errors import ConfigError
 from peskin2d.integrator import _Propagators
 from peskin2d.kernels import _l1_rows, dyadic_alphas, fit_kernel_bounds
-from peskin2d.nonlin import chord_arc_ratio
+from peskin2d.nonlin import chord_arc_ratio, eval_nonlinearity, linear_mode_rhs
+from peskin2d.tension import affine
 
 from conftest import in_threads, random_y_modes
 
@@ -195,6 +196,16 @@ class TestLinearization:
             want = linear_mode_rhs(e, coeffs, a1)
             worst = max(worst, np.abs((fp - fm) / (2 * delta) - want).max() / np.abs(want).max())
         assert worst > 1e-6
+
+    def test_jacobian_zero_linear_part_is_named(self):
+        # tau' = 1e-17 passes the positivity gate, but at r = |1 + a1| = 2
+        # A + b_tilde = 0.5 - 0.5 is exactly 0: direction k = 2 has no linear
+        # part to measure a relative error against
+        law = affine(1.0, 1e-17, r_max=10.0)
+        with pytest.raises(ConfigError, match=r"^direction k=2 has a zero linear part, "
+                                              r"so no relative Jacobian error: "
+                                              r"A \+ b_tilde = 0$"):
+            nonlin.jacobian_errors(law, 1.0, 2, 1e-6, 64)
 
 
 def residual(curve, law, M):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from peskin2d import (l2_norm, n_norm, s_norm,
-                      wiener_snapshot, z1_algebra_check, z1_weight, z2_weight)
 from peskin2d.curve import wavenumbers
 from peskin2d.kernels import phi_weight
 from peskin2d.norms import (_block_weights, _profile_factors, block_l2_profile,
-                            convolve_coeffs)
+                            convolve_coeffs, l2_norm, n_norm, s_norm, wiener_snapshot,
+                            z1_algebra_check, z1_weight, z2_weight)
 
 from conftest import random_y_modes
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from peskin2d import (ConfigError, TensionDomainError, TensionLaw, cubic,
-                      hookean, law_from_config, linear_coefficients, power,
-                      small_t, small_t_prime)
+                      hookean, linear_coefficients, power)
+from peskin2d.tension import law_from_config, small_t, small_t_prime
 
 
 def central_diff(fn, r, h=1e-6):
