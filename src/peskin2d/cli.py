@@ -23,7 +23,6 @@ import csv
 import fnmatch
 import functools
 import hashlib
-import itertools
 import json
 import os
 import sys
@@ -34,7 +33,7 @@ from . import __version__
 from .curve import from_json_dict, split, to_json_dict
 from .errors import (REQUIRED, ConfigError, GeometryError, IllConditioned, InsufficientDecay,
                      PeskinError, StepRejected, TensionDomainError, read_config)
-from .integrator import RunConfig, Trajectory, fit_decay, iter_run
+from .integrator import TABLE_COLUMNS, RunConfig, Trajectory, fit_decay, iter_run
 from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
                       l_kernel, psi_l1_norm, pv_quadrature_ik, pv_quadrature_jk,
                       phi_weight)
@@ -135,8 +134,6 @@ def _cmd_simulate(args):
     for name in os.listdir(out):     # an earlier run's files: a directory holds one run
         if name in ("manifest.json", "summary.json") or fnmatch.fnmatch(name, "snapshot_*.json"):
             os.remove(os.path.join(out, name))
-    header = ["t"] + [f"abs_a{k}" for k in cfg.watch_modes] \
-        + ["l2_Y", "linf_Yprime", "a0_re", "a0_im", "a1_re", "a1_im"]
     table = []
 
     def rows():
@@ -144,10 +141,10 @@ def _cmd_simulate(args):
             with open(os.path.join(out, f"snapshot_{i:06d}.json"), "w") as fh:
                 fh.write(json.dumps(to_json_dict(curve)) + "\n")
             table.append(row)
-            yield [row[h] for h in header]
+            yield row.values()
 
     # written as the run yields them: a failed run leaves the snapshots and rows it reached
-    _write_csv(os.path.join(out, "diagnostics.csv"), header, rows())
+    _write_csv(os.path.join(out, "diagnostics.csv"), TABLE_COLUMNS, rows())
     traj = Trajectory(snapshots=[], table=table).fit()
     summary = {"fit_rate": traj.fit_rate,
                "a0_limit": None if traj.a0_limit is None else
@@ -228,11 +225,11 @@ def _cmd_verify_kernels(args):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-# diagnostics.csv columns that fit-decay reads
-_TABLE_COLUMNS = ("t", "l2_Y", "a0_re", "a0_im", "a1_re", "a1_im")
-
-
-def _load_trajectory(traj_dir):
+def _load_trajectory(traj_dir, out_dir):
+    """The trajectory in traj_dir, read for a command that writes to out_dir."""
+    if os.path.realpath(out_dir) == os.path.realpath(traj_dir):   # keep simulate's manifest
+        raise ConfigError(f"--out {out_dir} is the trajectory directory --traj {traj_dir}: "
+                          "its manifest would be overwritten")
     table_path = os.path.join(traj_dir, "diagnostics.csv")
     try:
         with open(table_path) as fh:
@@ -240,7 +237,7 @@ def _load_trajectory(traj_dir):
             rows = list(reader)
     except OSError as e:
         raise ConfigError(f"cannot read trajectory {traj_dir}: {e}") from e
-    missing = [key for key in _TABLE_COLUMNS if key not in (reader.fieldnames or ())]
+    missing = [key for key in TABLE_COLUMNS if key not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"malformed trajectory table {table_path}: missing {missing}")
     try:
@@ -257,22 +254,23 @@ def _load_trajectory(traj_dir):
             try:
                 with open(path) as fh:
                     snaps.append(from_json_dict(json.load(fh)))
-            except (OSError, KeyError, TypeError, ValueError, OverflowError) as e:
+            except (OSError, KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
                 raise ConfigError(f"malformed snapshot {path}: "
                                   f"{type(e).__name__}: {e}") from e
+            if snaps[-1].K != snaps[0].K:   # simulate writes one K per directory
+                raise ConfigError(f"malformed snapshot {path}: K {snaps[-1].K}, but the "
+                                  f"trajectory's first snapshot has K {snaps[0].K}")
     if [snap.time for snap in snaps] != [row["t"] for row in table]:
         raise ConfigError(f"trajectory {traj_dir}: snapshot times do not match the t column")
     return Trajectory(snapshots=snaps, table=table)
 
 
 def _cmd_measure_norms(args):
-    traj = _load_trajectory(args.traj)
+    traj = _load_trajectory(args.traj, args.out)
     if not traj.snapshots:
         raise ConfigError(f"no snapshots found in {args.traj}")
-    rows = []
-    for _, run in itertools.groupby(traj.snapshots, key=lambda snap: snap.K):
-        run = list(run)
-        rows += norm_table([split(snap).y_modes for snap in run], [snap.time for snap in run])
+    rows = norm_table([split(snap).y_modes for snap in traj.snapshots],
+                      [snap.time for snap in traj.snapshots])
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "norms.csv"),
                ["t", "s_norm", "z1", "z2", "w"], rows)
@@ -281,7 +279,7 @@ def _cmd_measure_norms(args):
 
 
 def _cmd_fit_decay(args):
-    traj = _load_trajectory(args.traj)
+    traj = _load_trajectory(args.traj, args.out)
     rate, a0, a1 = fit_decay(traj)
     report = {"rate": rate, "a0_limit": [a0.real, a0.imag],
               "a1_limit": [a1.real, a1.imag]}

@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _real
 
 
 def _frozen(arr):
@@ -177,8 +177,12 @@ def to_json_dict(curve):
 
 
 def from_json_dict(d):
+    """The curve of a to_json_dict snapshot: K an integer, time a finite number."""
+    K, time = d["K"], d["time"]
+    if type(K) is not int or not _real(time):
+        raise ConfigError(f"snapshot K must be an integer and time a finite number, "
+                          f"got K {K!r}, time {time!r}")
     modes = np.array([complex(re, im) for re, im in d["modes"]])
-    time = float(d["time"])
-    if modes.size != 2 * int(d["K"]) + 1 or not np.all(np.isfinite([*modes, time])):
+    if modes.size != 2 * K + 1 or not np.all(np.isfinite(modes)):
         raise ConfigError("snapshot modes length inconsistent with K, or a non-finite value")
-    return FourierCurve(modes, time)
+    return FourierCurve(modes, float(time))

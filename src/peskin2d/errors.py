@@ -35,7 +35,6 @@ _KINDS = {
     "amplitude": (lambda v: _real(v) or _list(v, _real, 2),
                   lambda v: v if _real(v) else complex(*v), "a finite number or [re, im]"),
     "reals": (lambda v: _list(v, _real), None, "a list of finite numbers"),
-    "ints": (lambda v: _list(v, lambda x: type(x) is int), tuple, "a list of integers"),
     "target": (lambda v: type(v) in (list, tuple) and len(v) == 2 and v[0] in ("s", "w")
                and _real(v[1]) and v[1] > 0, lambda v: (v[0], float(v[1])),
                '["s" or "w", a finite value > 0]'),

@@ -37,7 +37,7 @@ _RUN_SCHEMA = {"law": ("object", REQUIRED), "initial_data": ("object", REQUIRED)
                "K": ("int", 128, (1, 2048)), "M": ("int", None, (None, 8192)),
                "dt": ("positive", None), "t_end": ("positive", 1.0),
                "snapshot_every": ("positive", None),
-               "frozen_coefficients": ("bool", True), "watch_modes": ("ints", (2, 3, -1)),
+               "frozen_coefficients": ("bool", True),
                "threads": ("int", 1, (1, None))}  # accepted and ignored: existing configs pass it
 
 
@@ -52,7 +52,6 @@ class RunConfig:
     t_end: float = 1.0
     snapshot_every: float = None     # default 10 dt
     frozen_coefficients: bool = True
-    watch_modes: tuple = (2, 3, -1)
 
     def __post_init__(self):
         if self.M is not None and (self.M % 2 or self.M < 4 * self.K):
@@ -71,7 +70,7 @@ class RunConfig:
 class Trajectory:
     """Snapshots plus per-snapshot diagnostics and the decay-fit summary."""
     snapshots: list
-    table: list                       # dicts: t, |a_k| watches, l2_Y, ...
+    table: list                       # dicts keyed by TABLE_COLUMNS
     fit_rate: float = None
     a0_limit: complex = None
     a1_limit: complex = None
@@ -143,17 +142,21 @@ def step(curve, law, dt, M, props=None):
     return FourierCurve(new, curve.time + dt)
 
 
-def _diagnostics_row(curve, watch_modes):
+# The slowest linear modes about the circle: mode 2 decays alone at (A + b~)/4,
+# pair m = 3 couples a_3 with conj(a_-1) at A/2 and (A + b~)/2, and every
+# pair m >= 3 decays at a rate growing linearly in m.
+WATCH_MODES = (2, 3, -1)
+# diagnostics.csv columns, in order: every diagnostics row holds exactly these
+TABLE_COLUMNS = ("t", *(f"abs_a{k}" for k in WATCH_MODES), "l2_Y", "linf_Yprime",
+                 "a0_re", "a0_im", "a1_re", "a1_im")
+
+
+def _diagnostics_row(curve):
     sp = split(curve)
     y = sp.y_modes
-    row = {"t": float(curve.time),
-           "l2_Y": l2_norm(y),
-           "linf_Yprime": linf_norm(deriv_coeffs(y)),
-           "a0_re": sp.a0.real, "a0_im": sp.a0.imag,
-           "a1_re": sp.a1.real, "a1_im": sp.a1.imag}
-    for k in watch_modes:
-        row[f"abs_a{k}"] = abs(curve.mode(k))
-    return row
+    values = (float(curve.time), *(abs(curve.mode(k)) for k in WATCH_MODES), l2_norm(y),
+              linf_norm(deriv_coeffs(y)), sp.a0.real, sp.a0.imag, sp.a1.real, sp.a1.imag)
+    return dict(zip(TABLE_COLUMNS, values))
 
 
 def iter_run(cfg):
@@ -189,13 +192,13 @@ def iter_run(cfg):
     M = cfg.M if cfg.M is not None else 4 * cfg.K
     props = _Propagators(law, a1_ref, dt, cfg.K) if cfg.frozen_coefficients else None
 
-    yield curve, _diagnostics_row(curve, cfg.watch_modes)
+    yield curve, _diagnostics_row(curve)
     for i in range(1, n_steps + 1):
         curve = step(curve, law, dt, M, props)
         # re-stamp with exact multiple of dt to keep times reproducible
         curve = FourierCurve(curve.modes, i * dt)
         if i % snap_stride == 0 or i == n_steps:
-            yield curve, _diagnostics_row(curve, cfg.watch_modes)
+            yield curve, _diagnostics_row(curve)
 
 
 def run(cfg):

@@ -41,14 +41,6 @@ def n_blocks(K):
     return max(1, int(np.floor(np.log2(max(K, 1)))) + 2)
 
 
-@lru_cache(maxsize=256)
-def _block_weights(n, K):
-    """phi_n(k) on k = -K..K, read-only."""
-    w = phi_weight(n, wavenumbers(K))
-    w.flags.writeable = False
-    return w
-
-
 def l2_norm(c):
     """Unnormalized L^2 norm sqrt(2 pi sum |c_k|^2)."""
     c = _as_coeffs(c)
@@ -80,7 +72,7 @@ def block_l2_profile(c):
 @lru_cache(maxsize=64)
 def _profile_factors(K):
     """The block weights phi_n(k) stacked as (n_blocks(K), 2K+1), and 2^{3n/2} per block."""
-    weights = np.array([_block_weights(n, K) for n in range(n_blocks(K))])
+    weights = np.array([phi_weight(n, wavenumbers(K)) for n in range(n_blocks(K))])
     scales = np.array([2.0 ** (1.5 * n) for n in range(n_blocks(K))])
     weights.flags.writeable = scales.flags.writeable = False
     return weights, scales

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peskin2d import initdata
+from peskin2d import initdata, integrator
 from peskin2d.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_GEOMETRY,
                           EXIT_INSUFFICIENT_DECAY, EXIT_OK,
                           EXIT_TENSION_DOMAIN, main)
@@ -74,7 +74,6 @@ SIM_CONFIG = {
     "law": {"law": "cubic", "c": 1.0},
     "initial_data": {"kind": "single_mode", "k": 2, "amplitude": [1e-3, 0.0]},
     "K": 8, "M": 32, "dt": 0.05, "t_end": 4.0, "snapshot_every": 0.25,
-    "watch_modes": [2, 3, -1],
 }
 
 
@@ -140,7 +139,6 @@ class TestSimulate:
         {"initial_data": {"kind": "single_mode", "k": "x"}},
         {"dt": float("nan")},
         {"snapshot_every": "x"},
-        {"watch_modes": "ab"},
         {"t_end": float("inf")},
         {"snapshot_every": 0.0},
         {"snapshot_every": -0.25},
@@ -167,7 +165,7 @@ class TestSimulate:
                           "strengths": [float("inf")]}},
     ], ids=["K-not-int", "M-string", "M-odd", "law-c-string", "corner-no-positions",
             "mode-not-int", "dt-nan", "snapshot-every-string",
-            "watch-modes-string", "t-end-inf", "snapshot-every-zero",
+            "t-end-inf", "snapshot-every-zero",
             "snapshot-every-negative", "frozen-string", "amplitude-nan",
             "amplitude-inf", "target-norm-inf", "target-norm-bare-name",
             "target-norm-one-item", "target-norm-negative", "target-norm-zero",
@@ -181,6 +179,23 @@ class TestSimulate:
         code, out = simulate(tmp_path, dict(SIM_CONFIG, **override))
         assert code == EXIT_CONFIG
         assert not os.path.isdir(out) or not snapshot_names(out)
+
+    def test_watch_modes_key_exits_2(self, tmp_path, capsys):
+        # the |a_k| columns are fixed: watch_modes is an unknown key, whatever its value
+        for value in ([2, 3, -1], "ab"):
+            code, out = simulate(tmp_path, dict(SIM_CONFIG, watch_modes=value))
+            err = capsys.readouterr().err
+            assert code == EXIT_CONFIG
+            assert "unknown keys ['watch_modes']" in err and "Traceback" not in err
+            assert not os.path.isdir(out) or not snapshot_names(out)
+
+    def test_header_is_table_columns(self, tmp_path):
+        code, out = simulate(tmp_path, dict(SIM_CONFIG, t_end=0.5))
+        assert code == EXIT_OK
+        header = next(csv.reader(open(os.path.join(out, "diagnostics.csv"))))
+        assert header == list(integrator.TABLE_COLUMNS) == [
+            "t", "abs_a2", "abs_a3", "abs_a-1", "l2_Y", "linf_Yprime",
+            "a0_re", "a0_im", "a1_re", "a1_im"]
 
     @pytest.mark.parametrize("initial", [
         {"kind": "corner", "positions": [0.0, 1.9], "strengths": [1.0, 0.7],
@@ -439,6 +454,49 @@ class TestTrajectoryTools:
                     os.path.join(out, f"snapshot_{len(names):06d}.json"))
         assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert out in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    def test_mixed_K_trajectory_exit_code(self, tmp_path, capsys, command):
+        # simulate writes one K per directory: a K = 6 snapshot among K = 8 ones is malformed
+        _, out = simulate(tmp_path)
+        path = os.path.join(out, "snapshot_000003.json")
+        snap = json.load(open(path))
+        snap.update(K=6, modes=snap["modes"][2:-2])
+        json.dump(snap, open(path, "w"))
+        assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "snapshot_000003.json" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("edit", ["nan-mode", "K-mismatch", "K-fraction", "time-string"])
+    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    def test_malformed_snapshot_names_file(self, tmp_path, capsys, command, edit):
+        _, out = simulate(tmp_path)
+        path = os.path.join(out, "snapshot_000002.json")
+        snap = json.load(open(path))
+        if edit == "nan-mode":
+            snap["modes"][3][0] = float("nan")
+        elif edit == "K-mismatch":
+            snap["K"] = 7                      # on the 17 modes of K = 8
+        elif edit == "K-fraction":
+            snap["K"] = 8.5
+        else:
+            snap["time"] = str(snap["time"])   # the t column's value, as a string
+        json.dump(snap, open(path, "w"))
+        assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "snapshot_000002.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", ["same", "dot"])
+    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    def test_out_equal_to_traj_exit_code(self, tmp_path, capsys, command, spelling):
+        # the outputs would replace the manifest, the run's only sha256 record
+        _, out = simulate(tmp_path)
+        manifest = open(os.path.join(out, "manifest.json"), "rb").read()
+        dest = out if spelling == "same" else os.path.join(out, ".")
+        assert main([command, "--traj", out, "--out", dest]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--out {dest} " in err and f"--traj {out}:" in err
+        assert open(os.path.join(out, "manifest.json"), "rb").read() == manifest
 
     def test_rerun_replaces_earlier_snapshots(self, tmp_path):
         simulate(tmp_path)
@@ -757,7 +815,7 @@ class TestInterface:
         # leak into the next, whatever subcommand ran in between
         cfg = write_config(tmp_path / "c.json", SIM_CONFIG)
         other = write_config(tmp_path / "o.json",
-                             dict(SIM_CONFIG, snapshot_every=0.5, watch_modes=[5]))
+                             dict(SIM_CONFIG, snapshot_every=0.5))
         spec = write_config(tmp_path / "s.json", {"law": {"law": "cubic"}, "m_max": 4})
         first, second = str(tmp_path / "other"), str(tmp_path / "config")
         assert main(["simulate", "--config", other, "--out", first]) == EXIT_OK

@@ -7,6 +7,7 @@ import pytest
 from peskin2d import FourierCurve, split
 from peskin2d.curve import (_dft_direct, _grid_to_modes, difference_quotient, fourier_eval,
                             fourier_samples, from_json_dict, to_json_dict, wavenumbers)
+from peskin2d.errors import ConfigError
 from peskin2d.norms import deriv_coeffs
 
 from conftest import random_y_modes
@@ -206,6 +207,16 @@ class TestSerialization:
         back = from_json_dict(d)
         assert back.time == 2.5
         assert np.array_equal(back.modes, curve.modes)
+
+    @pytest.mark.parametrize("edit", [{"K": 8.5}, {"K": True}, {"K": "8"}, {"time": "0.75"},
+                                      {"time": True}, {"time": float("nan")}, {"K": 7}],
+                             ids=["K-fraction", "K-bool", "K-string", "time-string",
+                                  "time-bool", "time-nan", "K-mismatch"])
+    def test_from_json_dict_rejects(self, edit):
+        # K an integer and time a finite number, as the config reader asks
+        d = dict(to_json_dict(FourierCurve(np.zeros(17), time=0.75)), **edit)
+        with pytest.raises(ConfigError):
+            from_json_dict(d)
 
     def test_json_text_matches_per_element_floats(self):
         # the modes are encoded as one array of (re, im) pairs

@@ -3,7 +3,7 @@ import pytest
 
 from peskin2d.curve import wavenumbers
 from peskin2d.kernels import phi_weight
-from peskin2d.norms import (_block_weights, _profile_factors, block_l2_profile,
+from peskin2d.norms import (_profile_factors, block_l2_profile,
                             convolve_coeffs, l2_norm, n_norm, s_norm, wiener_snapshot,
                             z1_algebra_check, z1_weight, z2_weight)
 
@@ -19,7 +19,7 @@ def single_mode(K, k, amp=1.0):
 class TestProjection:
     def test_single_mode_weight(self):
         c = single_mode(8, 2)
-        got = _block_weights(1, 8) * c
+        got = _profile_factors(8)[0][1] * c
         assert got[8 + 2] == phi_weight(1, 2)  # = 1: mode 2 lives in block 1
         assert got[8 + 2] == 1.0
 
@@ -85,7 +85,7 @@ class TestProjection:
 
     def test_parseval_vs_grid_quadrature(self, rng):
         c = random_y_modes(rng, 16, amp=0.7)
-        block = _block_weights(2, 16) * c
+        block = _profile_factors(16)[0][2] * c
         M = 256
         k = np.arange(-16, 17)
         sgrid = 2 * np.pi * np.arange(M) / M
