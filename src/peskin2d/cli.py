@@ -5,7 +5,7 @@ Subcommands:
     linear-spectrum       CSV table of pair-system eigenvalues and decay rates
     verify-kernels        JSON report: kernel identities and fitted bound constants
     measure-norms         CSV of S/Z1/Z2/W diagnostics along a stored trajectory
-    fit-decay             JSON decay rate and terminal circle of a stored trajectory
+    fit-decay             JSON decay rate and terminal circle from a trajectory's diagnostics.csv
     verify-linearization  JSON report: finite-difference Jacobian vs closed form
 
 Every command writes a manifest.json (config, package version, sha256 of
@@ -33,7 +33,7 @@ from . import __version__
 from .curve import from_json_dict, split, to_json_dict
 from .errors import (REQUIRED, ConfigError, GeometryError, IllConditioned, InsufficientDecay,
                      PeskinError, StepRejected, TensionDomainError, read_config)
-from .integrator import TABLE_COLUMNS, RunConfig, Trajectory, fit_decay, iter_run
+from .integrator import TABLE_COLUMNS, RunConfig, fit_decay, iter_run
 from .kernels import (dyadic_alphas, fit_kernel_bounds, ik_exact, jk_exact,
                       l_kernel, psi_l1_norm, pv_quadrature_ik, pv_quadrature_jk,
                       phi_weight)
@@ -125,6 +125,9 @@ _KERNELS_SCHEMA = {"k_max": ("int", 64, (0, 8191)), "M": ("int", 1024, (None, 65
 _LINEARIZATION_SCHEMA = {"law": ("object", REQUIRED), "a1": ("pair", 0j),
                          "k_max": ("int", 12, (2, 1022)), "M": ("int", None, (None, 8192)),
                          "delta": ("positive", 1e-6, (None, 1e-2))}
+# simulate's i-th snapshot file, and the glob that matches every snapshot name
+_SNAPSHOT = "snapshot_{:06d}.json"
+_SNAPSHOT_GLOB = _SNAPSHOT.replace("{:06d}", "*")
 
 
 def _cmd_simulate(args):
@@ -132,27 +135,26 @@ def _cmd_simulate(args):
     cfg = RunConfig.from_dict(config)
     out = _ensure_out(args.out)
     for name in os.listdir(out):     # an earlier run's files: a directory holds one run
-        if name in ("manifest.json", "summary.json") or fnmatch.fnmatch(name, "snapshot_*.json"):
+        if name in ("manifest.json", "summary.json") or fnmatch.fnmatch(name, _SNAPSHOT_GLOB):
             os.remove(os.path.join(out, name))
     table = []
 
     def rows():
         for i, (curve, row) in enumerate(iter_run(cfg)):
-            with open(os.path.join(out, f"snapshot_{i:06d}.json"), "w") as fh:
+            with open(os.path.join(out, _SNAPSHOT.format(i)), "w") as fh:
                 fh.write(json.dumps(to_json_dict(curve)) + "\n")
             table.append(row)
             yield row.values()
 
     # written as the run yields them: a failed run leaves the snapshots and rows it reached
     _write_csv(os.path.join(out, "diagnostics.csv"), TABLE_COLUMNS, rows())
-    traj = Trajectory(snapshots=[], table=table).fit()
-    summary = {"fit_rate": traj.fit_rate,
-               "a0_limit": None if traj.a0_limit is None else
-               [traj.a0_limit.real, traj.a0_limit.imag],
-               "a1_limit": None if traj.a1_limit is None else
-               [traj.a1_limit.real, traj.a1_limit.imag]}
+    try:
+        rate, a0, a1 = fit_decay(table)
+        summary = {"fit_rate": rate, "a0_limit": [a0.real, a0.imag], "a1_limit": [a1.real, a1.imag]}
+    except InsufficientDecay:
+        summary = {"fit_rate": None, "a0_limit": None, "a1_limit": None}
     _write_json(os.path.join(out, "summary.json"), summary)
-    names = [f"snapshot_{i:06d}.json" for i in range(len(table))]
+    names = [_SNAPSHOT.format(i) for i in range(len(table))]
     _write_manifest(out, "simulate", config, names + ["diagnostics.csv", "summary.json"])
     return EXIT_OK
 
@@ -226,7 +228,7 @@ def _cmd_verify_kernels(args):
 
 
 def _load_trajectory(traj_dir, out_dir):
-    """The trajectory in traj_dir, read for a command that writes to out_dir."""
+    """The diagnostics.csv rows of traj_dir, read for a command that writes to out_dir."""
     if os.path.realpath(out_dir) == os.path.realpath(traj_dir):   # keep simulate's manifest
         raise ConfigError(f"--out {out_dir} is the trajectory directory --traj {traj_dir}: "
                           "its manifest would be overwritten")
@@ -247,30 +249,28 @@ def _load_trajectory(traj_dir, out_dir):
                           f"{type(e).__name__}: {e}") from e
     if not np.all(np.isfinite([list(row.values()) for row in table])):
         raise ConfigError(f"malformed trajectory table {table_path}: a non-finite value")
-    snaps = []
-    for name in sorted(os.listdir(traj_dir)):
-        if name.startswith("snapshot_") and name.endswith(".json"):
-            path = os.path.join(traj_dir, name)
-            try:
-                with open(path) as fh:
-                    snaps.append(from_json_dict(json.load(fh)))
-            except (OSError, KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
-                raise ConfigError(f"malformed snapshot {path}: "
-                                  f"{type(e).__name__}: {e}") from e
-            if snaps[-1].K != snaps[0].K:   # simulate writes one K per directory
-                raise ConfigError(f"malformed snapshot {path}: K {snaps[-1].K}, but the "
-                                  f"trajectory's first snapshot has K {snaps[0].K}")
-    if [snap.time for snap in snaps] != [row["t"] for row in table]:
-        raise ConfigError(f"trajectory {traj_dir}: snapshot times do not match the t column")
-    return Trajectory(snapshots=snaps, table=table)
+    return table
 
 
 def _cmd_measure_norms(args):
-    traj = _load_trajectory(args.traj, args.out)
-    if not traj.snapshots:
+    table = _load_trajectory(args.traj, args.out)
+    snaps = []
+    for name in sorted(fnmatch.filter(os.listdir(args.traj), _SNAPSHOT_GLOB)):
+        path = os.path.join(args.traj, name)
+        try:
+            with open(path) as fh:
+                snaps.append(from_json_dict(json.load(fh)))
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, ConfigError) as e:
+            raise ConfigError(f"malformed snapshot {path}: {type(e).__name__}: {e}") from e
+        if snaps[-1].K != snaps[0].K:   # simulate writes one K per directory
+            raise ConfigError(f"malformed snapshot {path}: K {snaps[-1].K}, but the "
+                              f"trajectory's first snapshot has K {snaps[0].K}")
+    times = [snap.time for snap in snaps]
+    if times != [row["t"] for row in table]:
+        raise ConfigError(f"trajectory {args.traj}: snapshot times do not match the t column")
+    if not snaps:
         raise ConfigError(f"no snapshots found in {args.traj}")
-    rows = norm_table([split(snap).y_modes for snap in traj.snapshots],
-                      [snap.time for snap in traj.snapshots])
+    rows = norm_table([split(snap).y_modes for snap in snaps], times)
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "norms.csv"),
                ["t", "s_norm", "z1", "z2", "w"], rows)
@@ -279,8 +279,7 @@ def _cmd_measure_norms(args):
 
 
 def _cmd_fit_decay(args):
-    traj = _load_trajectory(args.traj, args.out)
-    rate, a0, a1 = fit_decay(traj)
+    rate, a0, a1 = fit_decay(_load_trajectory(args.traj, args.out))
     report = {"rate": rate, "a0_limit": [a0.real, a0.imag],
               "a1_limit": [a1.real, a1.imag]}
     out = _ensure_out(args.out)

@@ -177,12 +177,14 @@ def to_json_dict(curve):
 
 
 def from_json_dict(d):
-    """The curve of a to_json_dict snapshot: K an integer, time a finite number."""
+    """The curve of a to_json_dict snapshot: K an integer, time and mode parts finite numbers."""
     K, time = d["K"], d["time"]
     if type(K) is not int or not _real(time):
         raise ConfigError(f"snapshot K must be an integer and time a finite number, "
                           f"got K {K!r}, time {time!r}")
-    modes = np.array([complex(re, im) for re, im in d["modes"]])
+    # complex() takes true and false as 1 and 0: such a pair is dropped, and the size check fails
+    modes = np.array([complex(re, im) for re, im in d["modes"]
+                      if type(re) is not bool and type(im) is not bool])
     if modes.size != 2 * K + 1 or not np.all(np.isfinite(modes)):
-        raise ConfigError("snapshot modes length inconsistent with K, or a non-finite value")
+        raise ConfigError(f"snapshot modes must be 2K + 1 = {2 * K + 1} pairs of finite numbers")
     return FourierCurve(modes, float(time))

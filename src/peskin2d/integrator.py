@@ -82,7 +82,7 @@ class Trajectory:
     def fit(self):
         """Fill the decay-fit fields by fit_decay; they stay None on InsufficientDecay."""
         with contextlib.suppress(InsufficientDecay):
-            self.fit_rate, self.a0_limit, self.a1_limit = fit_decay(self)
+            self.fit_rate, self.a0_limit, self.a1_limit = fit_decay(self.table)
         return self
 
 
@@ -216,16 +216,16 @@ def _aitken(x0, x1, x2):
     return x2 - d2 * d2 / denom
 
 
-def fit_decay(traj):
-    """(rate, a0_limit, a1_limit) from the recorded trajectory.
+def fit_decay(table):
+    """(rate, a0_limit, a1_limit) from a trajectory's diagnostics rows.
 
     rate is the negated least-squares slope of log |Y|_L2 over the
-    final half of the snapshots; the limits extrapolate a0, a1 from the
-    last three snapshots.  Raises InsufficientDecay unless |Y| stayed
+    final half of the rows; the limits extrapolate a0, a1 from the
+    last three rows.  Raises InsufficientDecay unless |Y| stayed
     positive and dropped by at least e^2 overall.
     """
-    t = traj.times
-    l2 = np.array([row["l2_Y"] for row in traj.table])
+    t = np.array([row["t"] for row in table])
+    l2 = np.array([row["l2_Y"] for row in table])
     if len(t) < 4:
         raise InsufficientDecay("need at least 4 snapshots to fit a decay rate")
     # the drop test tolerates roundoff so a run sitting exactly at e^2 passes
@@ -235,6 +235,6 @@ def fit_decay(traj):
     half = len(t) // 2
     tt, yy = t[half:], np.log(l2[half:])
     slope = np.polyfit(tt, yy, 1)[0]
-    a0 = [complex(r["a0_re"], r["a0_im"]) for r in traj.table[-3:]]
-    a1 = [complex(r["a1_re"], r["a1_im"]) for r in traj.table[-3:]]
+    a0 = [complex(r["a0_re"], r["a0_im"]) for r in table[-3:]]
+    a1 = [complex(r["a1_re"], r["a1_im"]) for r in table[-3:]]
     return float(-slope), _aitken(*a0), _aitken(*a1)

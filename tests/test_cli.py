@@ -423,7 +423,8 @@ class TestTrajectoryTools:
         decay = json.load(open(os.path.join(dout, "decay.json")))
         assert decay["rate"] == pytest.approx(1.0, rel=0.01)  # cubic mode-2 rate
 
-    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    # fit-decay reads diagnostics.csv alone: the snapshot checks are measure-norms'
+    @pytest.mark.parametrize("command", ["measure-norms"])
     def test_snapshot_without_time_exit_code(self, tmp_path, capsys, command):
         _, out = simulate(tmp_path)
         path = os.path.join(out, "snapshot_000001.json")
@@ -433,8 +434,18 @@ class TestTrajectoryTools:
         assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "snapshot_000001.json" in capsys.readouterr().err
 
+    def test_fit_decay_reads_no_snapshot(self, tmp_path):
+        _, out = simulate(tmp_path)
+        assert main(["fit-decay", "--traj", out, "--out", str(tmp_path / "full")]) == EXIT_OK
+        for name in snapshot_names(out):
+            os.remove(os.path.join(out, name))
+        assert main(["fit-decay", "--traj", out, "--out", str(tmp_path / "bare")]) == EXIT_OK
+        decay = [open(tmp_path / d / "decay.json", "rb").read() for d in ("full", "bare")]
+        assert decay[0] == decay[1]
+
     @pytest.mark.parametrize("edit", ["drop-column", "bad-cell"])
-    def test_malformed_table_exit_code(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    def test_malformed_table_exit_code(self, tmp_path, capsys, command, edit):
         _, out = simulate(tmp_path)
         path = os.path.join(out, "diagnostics.csv")
         lines = open(path).read().splitlines()
@@ -443,10 +454,10 @@ class TestTrajectoryTools:
         else:
             lines[2] = "x" + lines[2]
         open(path, "w").write("\n".join(lines) + "\n")
-        assert main(["fit-decay", "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "diagnostics.csv" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    @pytest.mark.parametrize("command", ["measure-norms"])
     def test_extra_snapshot_exit_code(self, tmp_path, capsys, command):
         _, out = simulate(tmp_path)
         names = snapshot_names(out)
@@ -455,7 +466,7 @@ class TestTrajectoryTools:
         assert main([command, "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert out in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    @pytest.mark.parametrize("command", ["measure-norms"])
     def test_mixed_K_trajectory_exit_code(self, tmp_path, capsys, command):
         # simulate writes one K per directory: a K = 6 snapshot among K = 8 ones is malformed
         _, out = simulate(tmp_path)
@@ -467,14 +478,17 @@ class TestTrajectoryTools:
         assert "snapshot_000003.json" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("edit", ["nan-mode", "K-mismatch", "K-fraction", "time-string"])
-    @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
+    @pytest.mark.parametrize("edit", ["nan-mode", "bool-mode", "K-mismatch", "K-fraction",
+                                      "time-string"])
+    @pytest.mark.parametrize("command", ["measure-norms"])
     def test_malformed_snapshot_names_file(self, tmp_path, capsys, command, edit):
         _, out = simulate(tmp_path)
         path = os.path.join(out, "snapshot_000002.json")
         snap = json.load(open(path))
         if edit == "nan-mode":
             snap["modes"][3][0] = float("nan")
+        elif edit == "bool-mode":
+            snap["modes"][3] = [True, False]   # complex() would read 1 + 0j
         elif edit == "K-mismatch":
             snap["K"] = 7                      # on the 17 modes of K = 8
         elif edit == "K-fraction":

@@ -209,11 +209,12 @@ class TestSerialization:
         assert np.array_equal(back.modes, curve.modes)
 
     @pytest.mark.parametrize("edit", [{"K": 8.5}, {"K": True}, {"K": "8"}, {"time": "0.75"},
-                                      {"time": True}, {"time": float("nan")}, {"K": 7}],
+                                      {"time": True}, {"time": float("nan")}, {"K": 7},
+                                      {"modes": [[0.0, 0.0]] * 16 + [[True, False]]}],
                              ids=["K-fraction", "K-bool", "K-string", "time-string",
-                                  "time-bool", "time-nan", "K-mismatch"])
+                                  "time-bool", "time-nan", "K-mismatch", "mode-bool"])
     def test_from_json_dict_rejects(self, edit):
-        # K an integer and time a finite number, as the config reader asks
+        # K an integer, time and mode parts finite numbers, as the config reader asks
         d = dict(to_json_dict(FourierCurve(np.zeros(17), time=0.75)), **edit)
         with pytest.raises(ConfigError):
             from_json_dict(d)

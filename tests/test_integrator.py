@@ -7,8 +7,8 @@ from peskin2d import (ConfigError, FourierCurve, IllConditioned,
                       InsufficientDecay, StepRejected, cubic, make_single_mode,
                       power, rescale_to_norm)
 from peskin2d.initdata import make_random_decay
-from peskin2d.integrator import (MAX_SNAPSHOTS, MAX_STEPS, RunConfig, Trajectory,
-                                 _Propagators, default_dt, fit_decay, iter_run, run, step)
+from peskin2d.integrator import (MAX_SNAPSHOTS, MAX_STEPS, RunConfig, _Propagators,
+                                 default_dt, fit_decay, iter_run, run, step)
 from peskin2d.linear import (_phi1_scalar, _phi2_scalar, build_pair_system,
                              propagator_matrices, propagator_tables)
 from peskin2d.tension import TensionLaw, linear_coefficients
@@ -206,7 +206,7 @@ class TestRun:
         assert all(np.array_equal(a.modes, s.modes)
                    for a, (s, _) in zip(traj.snapshots, pairs))
         assert traj.table == [row for _, row in pairs]
-        assert (traj.fit_rate, traj.a0_limit, traj.a1_limit) == fit_decay(traj)
+        assert (traj.fit_rate, traj.a0_limit, traj.a1_limit) == fit_decay(traj.table)
 
 
 class TestSymmetry:
@@ -301,7 +301,7 @@ class TestFitDecay:
             table.append({"t": float(t), "l2_Y": float(np.exp(-rate * t)),
                           "a0_re": 0.1 * (1 - np.exp(-t)), "a0_im": 0.0,
                           "a1_re": 0.0, "a1_im": -0.05 * (1 - np.exp(-t))})
-        return Trajectory(snapshots=[], table=table)
+        return table
 
     def test_exact_exponential(self):
         rate, a0, a1 = fit_decay(self._synthetic(0.7))
