@@ -22,10 +22,17 @@ import argparse
 import csv
 import fnmatch
 import functools
-import hashlib
 import json
 import os
 import sys
+
+try:
+    from _sha2 import sha256 as _new_sha256          # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _new_sha256    # Python 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _new_sha256    # loads OpenSSL's libcrypto, ~3.5 MiB of RSS
 
 import numpy as np
 
@@ -73,7 +80,7 @@ def _load_json(path):
 
 
 def _sha256(path):
-    h = hashlib.sha256()
+    h = _new_sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
@@ -265,11 +272,11 @@ def _cmd_measure_norms(args):
         if snaps[-1].K != snaps[0].K:   # simulate writes one K per directory
             raise ConfigError(f"malformed snapshot {path}: K {snaps[-1].K}, but the "
                               f"trajectory's first snapshot has K {snaps[0].K}")
+    if not snaps:
+        raise ConfigError(f"no snapshots found in {args.traj}")
     times = [snap.time for snap in snaps]
     if times != [row["t"] for row in table]:
         raise ConfigError(f"trajectory {args.traj}: snapshot times do not match the t column")
-    if not snaps:
-        raise ConfigError(f"no snapshots found in {args.traj}")
     rows = norm_table([split(snap).y_modes for snap in snaps], times)
     out = _ensure_out(args.out)
     _write_csv(os.path.join(out, "norms.csv"),

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from peskin2d import initdata, integrator
+from peskin2d import cli, initdata, integrator
 from peskin2d.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_GEOMETRY,
                           EXIT_INSUFFICIENT_DECAY, EXIT_OK,
                           EXIT_TENSION_DOMAIN, main)
@@ -266,6 +266,43 @@ class TestSimulate:
             h = hashlib.sha256(open(os.path.join(out, name), "rb").read())
             assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize("size", [0, 1, 65536, 65537, 200 * 1024])
+    def test_sha256_matches_hashlib_at_chunk_edges(self, tmp_path, size):
+        # _sha256 reads 64 KiB chunks: an empty file, one byte, exactly one
+        # chunk, one byte past it and several chunks of random bytes
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "blob"
+        path.write_bytes(data)
+        assert cli._sha256(str(path)) == hashlib.sha256(data).hexdigest()
+
+    def test_sha256_is_the_builtin_where_one_imports(self):
+        # a silent fall-through to hashlib would load OpenSSL in every run
+        for name in ("_sha2", "_sha256"):   # Python 3.12+, then 3.10 and 3.11
+            try:
+                builtin = importlib.import_module(name)
+            except ImportError:
+                continue
+            assert cli._new_sha256 is builtin.sha256
+            return
+        assert cli._new_sha256 is hashlib.sha256
+
+    def test_corner_run_never_loads_openssl(self, tmp_path):
+        # hashlib's OpenSSL backend, _hashlib, holds about 3.5 MiB of a corner
+        # run's RSS; a fresh interpreter, because this module imports hashlib
+        initial = {"kind": "corner", "positions": [0.0, 1.9], "strengths": [1.0, 0.7],
+                   "amplitude": 1e-3, "target_norm": ["s", 1e-3]}
+        cfg = write_config(tmp_path / "corner.json",
+                           dict(SIM_CONFIG, initial_data=initial, t_end=0.5))
+        script = ("import sys; from peskin2d.cli import main; "
+                  "code = main(['simulate', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+                  "print(code, '_hashlib' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, cfg, str(tmp_path / "corner")],
+            env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_OK), "False"], proc.stdout
+        assert (tmp_path / "corner" / "manifest.json").exists()
+
     def test_geometry_exit_code(self, tmp_path):
         config = dict(SIM_CONFIG)
         config["law"] = {"law": "cubic", "c": 1.0, "r_min": 0.02, "r_max": 20.0}
@@ -442,6 +479,17 @@ class TestTrajectoryTools:
         assert main(["fit-decay", "--traj", out, "--out", str(tmp_path / "bare")]) == EXIT_OK
         decay = [open(tmp_path / d / "decay.json", "rb").read() for d in ("full", "bare")]
         assert decay[0] == decay[1]
+
+    def test_measure_norms_without_snapshots_exit_code(self, tmp_path, capsys):
+        # a valid table with every snapshot removed: the missing snapshots are
+        # the problem, not a mismatch between their times and the t column
+        _, out = simulate(tmp_path)
+        for name in snapshot_names(out):
+            os.remove(os.path.join(out, name))
+        assert main(["measure-norms", "--traj", out, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"no snapshots found in {out}" in err, err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("edit", ["drop-column", "bad-cell"])
     @pytest.mark.parametrize("command", ["measure-norms", "fit-decay"])
