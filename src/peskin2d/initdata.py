@@ -14,6 +14,7 @@ import numpy as np
 
 from . import norms
 from .curve import FourierCurve, split, wavenumbers
+from .draws import Philox
 from .errors import REQUIRED, ConfigError, GeometryError, read_config
 from .nonlin import CHORD_ARC_MIN, chord_arc_ratio
 
@@ -134,14 +135,16 @@ def make_polygonal(K, vertices, amplitude):
 def make_random_decay(K, exponent, seed, amplitude):
     """Random-phase data a_k = amplitude zeta_k |k|^{-exponent}, k not in {0, 1}.
 
-    zeta_k is uniform on the unit circle from a counter-based generator,
-    so the output is a pure function of (K, exponent, seed, amplitude).
+    zeta_k = e^{i theta_k}, theta_k drawn in k order from Philox4x64-10 keyed
+    by SeedSequence(seed): the values of numpy's Generator(Philox(seed))
+    .uniform(0, 2 pi), so the output is a pure function of (K, exponent,
+    seed, amplitude).
     """
     if exponent <= 1:
         raise ConfigError("decay exponent must exceed 1")
-    rng = np.random.Generator(np.random.Philox(int(seed)))
+    rng = Philox(seed)
     k = wavenumbers(K)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=k.size)
+    theta = np.array([rng.uniform(0.0, 2.0 * np.pi) for _ in range(k.size)])
     mag = np.zeros(k.size)
     nz = k != 0
     mag[nz] = np.abs(k[nz]).astype(float) ** (-float(exponent))

@@ -303,6 +303,27 @@ class TestSimulate:
         assert proc.stdout.split() == [str(EXIT_OK), "False"], proc.stdout
         assert (tmp_path / "corner" / "manifest.json").exists()
 
+    def test_seeded_draws_never_load_numpy_random(self, tmp_path):
+        # numpy.random loads OpenSSL (through secrets) and its generator
+        # extensions; random_decay data and verify-kernels draw without it
+        initial = {"kind": "random_decay", "seed": 3, "amplitude": 1e-3}
+        sim = write_config(tmp_path / "rd.json",
+                           dict(SIM_CONFIG, initial_data=initial, t_end=0.5))
+        kern = write_config(tmp_path / "k.json",
+                            {"k_max": 8, "M": 128, "n_max": 2, "oversample": 4})
+        script = (
+            "import sys; from peskin2d.cli import main\n"
+            "for argv in (['simulate', '--config', sys.argv[1], '--out', sys.argv[3]],\n"
+            "             ['verify-kernels', '--config', sys.argv[2], '--out', sys.argv[4]]):\n"
+            "    print(main(argv), 'numpy.random' in sys.modules, '_hashlib' in sys.modules)")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, sim, kern, str(tmp_path / "rd"), str(tmp_path / "k")],
+            env=src_env(), capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(EXIT_OK), "False", "False"] * 2, proc.stdout
+        assert (tmp_path / "rd" / "manifest.json").exists()
+        assert (tmp_path / "k" / "kernel_report.json").exists()
+
     def test_geometry_exit_code(self, tmp_path):
         config = dict(SIM_CONFIG)
         config["law"] = {"law": "cubic", "c": 1.0, "r_min": 0.02, "r_max": 20.0}

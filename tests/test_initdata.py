@@ -170,6 +170,18 @@ class TestRandomDecay:
         assert abs(c.modes[8 + 2]) == pytest.approx(0.25, rel=1e-12)
         assert abs(c.modes[8 - 3]) == pytest.approx(1.0 / 9.0, rel=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 64 + 5])
+    def test_phases_are_numpys_philox_draws(self, seed):
+        # theta_k in k order: numpy's Generator(Philox(seed)).uniform(0, 2 pi)
+        K = 256
+        theta = np.random.Generator(np.random.Philox(seed)).uniform(0.0, 2.0 * np.pi, 2 * K + 1)
+        k = np.arange(-K, K + 1)
+        mag = np.zeros(k.size)
+        mag[k != 0] = np.abs(k[k != 0]).astype(float) ** -2.0
+        expected = 1e-3 * np.exp(1j * theta) * mag
+        expected[K:K + 2] = 0.0
+        assert make_random_decay(K, 2.0, seed, 1e-3).modes.tobytes() == expected.tobytes()
+
     def test_zero_amplitude(self):
         c = make_random_decay(16, 2.0, 1, 0.0)
         assert np.abs(c.modes).max() == 0.0
