@@ -177,7 +177,9 @@ def iter_run(cfg):
     a1_ref = split(curve).a1
     dt = cfg.dt if cfg.dt is not None else default_dt(law, a1_ref, cfg.K)
     if cfg.t_end < dt:
-        raise ConfigError("t_end must be >= dt")
+        source = "" if cfg.dt is not None else (
+            f", the law's default at K = {cfg.K}: 0.5 / its fastest linear rate")
+        raise ConfigError(f"t_end = {cfg.t_end:g} must be >= dt = {dt:.4g}{source}")
     if cfg.t_end / dt > MAX_STEPS:  # compared as a float: the ratio may overflow to inf
         raise ConfigError(f"t_end / dt = {cfg.t_end / dt:.3g} steps exceeds {MAX_STEPS}")
     n_steps = int(round(cfg.t_end / dt))
@@ -208,10 +210,16 @@ def run(cfg):
 
 
 def _aitken(x0, x1, x2):
-    """Aitken extrapolation of a geometric tail; falls back to the last value."""
+    """Aitken extrapolation of a geometric tail; falls back to the last value.
+
+    The tail is geometric only if it contracts, |d2| < |d1|, and d2 - d1
+    is more than roundoff of d1.  A linear drift, or two differences equal
+    to within roundoff, returns x2: there d2^2 / (d2 - d1) is no limit,
+    only an inflated drift.
+    """
     d1, d2 = x1 - x0, x2 - x1
     denom = d2 - d1
-    if abs(denom) < 1e3 * np.finfo(float).eps * max(abs(x2), 1e-300):
+    if not (abs(d2) < abs(d1) and abs(denom) > 1e3 * np.finfo(float).eps * abs(d1)):
         return x2
     return x2 - d2 * d2 / denom
 

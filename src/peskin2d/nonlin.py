@@ -102,11 +102,21 @@ def _workspace(M):
     e^{i s_j/2} on the outer grid; c_q and conj(w_q) on alpha_q; and
     i e^{-i r_p/2}, e^{i r_p} on the offset nodes (alpha_q and r_p are
     the same numbers).
+
+    The offset grid is symmetric, alpha_{M-1-q} = 2 pi - alpha_q, so
+    c_{M-1-q} = c_q and conj(w)_{M-1-q} = -conj(conj(w)_q) exactly.  c
+    and conj(w) are computed for q < M/2 and mirrored: computed pointwise,
+    conj(w) misses the identity by up to 4e-12 at M = 256, and the +-alpha
+    terms of a row no longer cancel, so the exact circle picked up a
+    spurious rigid rotation (a mode-1 velocity of 1e-14 to 1e-13).
     """
     s = 2.0 * np.pi * np.arange(M) / M
     offset = (2.0 * np.arange(M) + 1.0) * np.pi / M
-    c = 1.0 / (2.0 * np.sin(offset / 2.0))
-    arrays = (np.exp(0.5j * s), c, half_kernel(offset),
+    half = offset[:M // 2]
+    c = 1.0 / (2.0 * np.sin(half / 2.0))
+    conj_w = half_kernel(half)
+    arrays = (np.exp(0.5j * s), np.concatenate([c, c[::-1]]),
+              np.concatenate([conj_w, -np.conj(conj_w[::-1])]),
               1j * np.exp(-0.5j * offset), np.exp(1j * offset))
     for arr in arrays:
         arr.flags.writeable = False

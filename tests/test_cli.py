@@ -324,6 +324,18 @@ class TestSimulate:
         assert (tmp_path / "rd" / "manifest.json").exists()
         assert (tmp_path / "k" / "kernel_report.json").exists()
 
+    @pytest.mark.parametrize("dt, shown", [(None, "dt = 0.0714"), (0.1, "dt = 0.1")],
+                             ids=["default-dt", "set-dt"])
+    def test_t_end_below_dt_names_the_dt(self, tmp_path, capsys, dt, shown):
+        # without dt, cubic at K = 8 resolves 0.5 / its fastest rate = 0.0714
+        config = {k: v for k, v in SIM_CONFIG.items() if k != "dt"}
+        config.update(t_end=0.05, **({} if dt is None else {"dt": dt}))
+        code, _ = simulate(tmp_path, config)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "t_end = 0.05 must be >= " + shown in err
+        assert ("default" in err) == (dt is None), err
+
     def test_geometry_exit_code(self, tmp_path):
         config = dict(SIM_CONFIG)
         config["law"] = {"law": "cubic", "c": 1.0, "r_min": 0.02, "r_max": 20.0}

@@ -7,8 +7,8 @@ from peskin2d import (ConfigError, FourierCurve, IllConditioned,
                       InsufficientDecay, StepRejected, cubic, make_single_mode,
                       power, rescale_to_norm)
 from peskin2d.initdata import make_random_decay
-from peskin2d.integrator import (MAX_SNAPSHOTS, MAX_STEPS, RunConfig, _Propagators,
-                                 default_dt, fit_decay, iter_run, run, step)
+from peskin2d.integrator import (MAX_SNAPSHOTS, MAX_STEPS, RunConfig, _aitken,
+                                 _Propagators, default_dt, fit_decay, iter_run, run, step)
 from peskin2d.linear import (_phi1_scalar, _phi2_scalar, build_pair_system,
                              propagator_matrices, propagator_tables)
 from peskin2d.tension import TensionLaw, linear_coefficients
@@ -308,6 +308,23 @@ class TestFitDecay:
         assert rate == pytest.approx(0.7, abs=1e-10)
         assert a0 == pytest.approx(0.1, abs=1e-3)
         assert a1 == pytest.approx(-0.05j, abs=1e-3)
+
+    @pytest.mark.parametrize("first, step", [
+        (0.25, 0.125),
+        (0.3 + 0.1j, 1e-9j),   # step far below the terms: d1, d2 differ by their roundoff
+        (2.7e-9 + 1e-12j, -9.72e-15j),   # a1's late drift under the circle's rotation
+        (-9.311809432953932e-10, 4.653872159298107e-10),   # through 0: 2.1e6 before
+    ])
+    def test_aitken_returns_last_term_of_arithmetic_sequence(self, first, step):
+        # a linear drift is no geometric tail, whatever its rounding
+        x = [first + i * step for i in range(3)]
+        assert _aitken(*x) == x[2]
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.9, np.exp(-0.5 + 0.3j)])
+    def test_aitken_extrapolates_geometric_tail(self, ratio):
+        limit = 0.1 - 0.05j
+        x = [limit + 0.01 * ratio ** i for i in range(3)]
+        assert abs(_aitken(*x) - limit) <= 1e-14
 
     def test_insufficient_decay(self):
         with pytest.raises(InsufficientDecay):

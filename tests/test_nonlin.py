@@ -14,6 +14,7 @@ from peskin2d import (FourierCurve, GeometryError, StepRejected,
 import peskin2d.curve
 from peskin2d.curve import wavenumbers
 from peskin2d.errors import ConfigError
+from peskin2d.initdata import make_corner, make_random_decay
 from peskin2d.integrator import _Propagators
 from peskin2d.kernels import _l1_rows, dyadic_alphas, fit_kernel_bounds
 from peskin2d.nonlin import chord_arc_ratio, eval_nonlinearity, linear_mode_rhs
@@ -276,6 +277,36 @@ class TestInvariants:
         reg = eval_nonlinearity(curve, cubic_law, M).grid_values
         raw = eval_raw_form(curve, cubic_law, M)
         assert np.abs(reg - raw).max() < 1e-7
+
+
+def mirror_data(kind, K):
+    if kind == "corner":   # criterion-06 data
+        return make_corner(K, [0.0, 1.9], [1.0, 0.7], 0.01)
+    return make_random_decay(K, 2.0, 0, 1e-3)
+
+
+class TestMirrorSymmetry:
+    # The offset grid is symmetric, alpha_{M-1-q} = 2 pi - alpha_q.  Tables
+    # of c and conj(w) computed pointwise break that symmetry by roundoff,
+    # and the +-alpha terms of a row no longer cancel: reflection then
+    # fails by 3e-15 to 2e-13, and the circle turns at 2e-15 to 9e-14.
+    @pytest.mark.parametrize("M", [256, 512, 1024, 2048])
+    @pytest.mark.parametrize("law_fn", [cubic, hookean])
+    @pytest.mark.parametrize("kind", ["corner", "random_decay"])
+    def test_reflection_conjugates_the_velocity(self, M, law_fn, kind):
+        # X(s) -> conj X(-s) conjugates every mode, so every velocity mode
+        law, curve = law_fn(), mirror_data(kind, M // 4)
+        n = eval_nonlinearity(curve, law, M).n_modes
+        n_reflected = eval_nonlinearity(FourierCurve(np.conj(curve.modes)), law, M).n_modes
+        err = float(np.abs(n_reflected - np.conj(n)).max())
+        assert err <= 1e-15, f"reflection error {err:.3g}"
+
+    @pytest.mark.parametrize("M", [256, 512, 1024, 2048])
+    @pytest.mark.parametrize("law_fn", [cubic, hookean])
+    @pytest.mark.parametrize("a1", [0.0, 1e-3])
+    def test_circle_does_not_rotate(self, M, law_fn, a1):
+        n = eval_nonlinearity(curve_with(M // 4, {1: a1}), law_fn(), M).n_modes
+        assert float(np.abs(n).max()) <= 1e-16, np.abs(n).max()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
