@@ -213,13 +213,14 @@ def _aitken(x0, x1, x2):
     """Aitken extrapolation of a geometric tail; falls back to the last value.
 
     The tail is geometric only if it contracts, |d2| < |d1|, and d2 - d1
-    is more than roundoff of d1.  A linear drift, or two differences equal
-    to within roundoff, returns x2: there d2^2 / (d2 - d1) is no limit,
-    only an inflated drift.
+    is more than roundoff of d1, which carries the roundoff of the terms.
+    A linear drift, or two differences equal to within roundoff, returns
+    x2: there d2^2 / (d2 - d1) is no limit, only an inflated drift.
     """
     d1, d2 = x1 - x0, x2 - x1
     denom = d2 - d1
-    if not (abs(d2) < abs(d1) and abs(denom) > 1e3 * np.finfo(float).eps * abs(d1)):
+    roundoff = 1e3 * np.finfo(float).eps * max(abs(d1), abs(x2))
+    if not (abs(d2) < abs(d1) and abs(denom) > roundoff):
         return x2
     return x2 - d2 * d2 / denom
 

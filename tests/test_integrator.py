@@ -311,7 +311,8 @@ class TestFitDecay:
 
     @pytest.mark.parametrize("first, step", [
         (0.25, 0.125),
-        (0.3 + 0.1j, 1e-9j),   # step far below the terms: d1, d2 differ by their roundoff
+        (0.3, 1e-9),   # step far below the terms: d1, d2 differ by the terms' roundoff
+        (0.3 + 0.1j, 1e-9j),
         (2.7e-9 + 1e-12j, -9.72e-15j),   # a1's late drift under the circle's rotation
         (-9.311809432953932e-10, 4.653872159298107e-10),   # through 0: 2.1e6 before
     ])
