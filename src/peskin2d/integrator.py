@@ -213,7 +213,8 @@ def _aitken(x0, x1, x2):
     """Aitken extrapolation of a geometric tail; falls back to the last value.
 
     The tail is geometric only if it contracts, |d2| < |d1|, and d2 - d1
-    is more than roundoff of d1, which carries the roundoff of the terms.
+    is more than roundoff of d1 and of the terms: d1 and d2 carry the
+    rounding of x0, x1, x2, which exceeds that of d1 when |d1| << |x2|.
     A linear drift, or two differences equal to within roundoff, returns
     x2: there d2^2 / (d2 - d1) is no limit, only an inflated drift.
     """
